@@ -17,6 +17,7 @@ per-pass times, digests) and, when traced, the spans go to crbench/out/.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import math
@@ -32,13 +33,17 @@ from pathlib import Path
 
 BLAS_THREADS = "1"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# glibc mallopt parameters, and the value both are pinned to: freed arrays
+# stay in the heap instead of going back to the kernel and faulting in again
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MALLOC_PIN_BYTES = 1 << 30
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / "crbench" / "out"
 
 RUN_SECONDS = 40
-SETUP_RUNS = 7
+SETUP_RUNS = 9
 # a seed kept out of tuning, for confirming a claimed gain
 HOLDOUT_SEED = 20170309
 
@@ -139,6 +144,8 @@ for name in sys.argv[2:]:
     cfg = default_config(name)
     cfg.seed = int(sys.argv[1])
     validate_config(cfg)
+import time
+print(repr(time.monotonic()))
 """
 
 
@@ -224,11 +231,13 @@ def sha256(text: str) -> str:
 # one pass over a workload's scenario calls
 
 
-def run_pass(configs, out_dir: Path, tracer=None) -> dict:
+def run_pass(configs, out_dir: Path, tracer=None, probe=None) -> dict:
     """Call run_scenario on each config in turn; check, digest and emit each.
 
     Only the run_scenario calls are timed. With a tracer, each call is a
     root span named harness.<scenario> and each export a harness.export span.
+    With a speed probe, "windows" holds the marks of the probe samples
+    taken inside each call.
     """
     from contextlib import nullcontext
 
@@ -237,14 +246,19 @@ def run_pass(configs, out_dir: Path, tracer=None) -> dict:
     def span(name):
         return tracer.span(name) if tracer is not None else nullcontext()
 
-    times, digests, failures, export_bytes = {}, {}, {}, 0
+    def mark():
+        return probe.mark() if probe is not None else 0
+
+    times, windows, digests, failures, export_bytes = {}, {}, {}, {}, 0
     for cfg in configs:
         name = cfg.scenario
         try:
             with span(f"harness.{name}"):
+                first = mark()
                 t0 = time.perf_counter()
                 summary = run_scenario(cfg)
                 times[name] = time.perf_counter() - t0
+                windows[name] = (first, mark())
             problems = check_summary(cfg, summary)
             json_text, csv_text = summary_to_json(summary), summary_to_csv(summary)
             digests[name] = {"json": sha256(json_text), "csv": sha256(csv_text)}
@@ -264,6 +278,7 @@ def run_pass(configs, out_dir: Path, tracer=None) -> dict:
     return {
         "wall_s": sum(times.values()),
         "times": times,
+        "windows": windows,
         "digests": digests,
         "failures": failures,
         "export_bytes": export_bytes,
@@ -398,7 +413,27 @@ def _source_digest() -> str:
     return h.hexdigest()
 
 
-def provenance(seed: int) -> dict:
+def pin_allocator() -> bool:
+    """Keep freed memory in the heap (glibc only); True if both pins took.
+
+    BP training frees and reallocates multi-megabyte arrays every epoch.
+    With glibc's default thresholds each epoch hands them back to the kernel
+    and faults them in again: about 0.8M minor faults and over a second of
+    system time per `prediction` call on a 2-vCPU KVM guest, varying with
+    the host's memory state far more than the computation does.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all(
+        mallopt(param, MALLOC_PIN_BYTES) == 1
+        for param in (M_TRIM_THRESHOLD, M_MMAP_THRESHOLD)
+    )
+
+
+def provenance(seed: int, malloc_pinned: bool) -> dict:
     import numpy
 
     try:
@@ -413,6 +448,7 @@ def provenance(seed: int) -> dict:
         "numpy": numpy.__version__,
         "blas": blas,
         "blas_threads": int(BLAS_THREADS),
+        "malloc_pinned": malloc_pinned,
         "git_commit": _git_commit(),
         "src_sha256": _source_digest(),
         "seed": seed,
@@ -422,12 +458,18 @@ def provenance(seed: int) -> dict:
 
 def time_setup(scenarios, seed: int) -> float:
     """Wall time of a fresh interpreter that imports crspectrum and builds
-    and validates the workload's configs, up to where run_scenario would run."""
+    and validates the workload's configs, up to where run_scenario would run.
+
+    The child prints its monotonic clock (system-wide on Linux) when done,
+    so neither its exit nor the parent's polling for it is counted.
+    """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     cmd = [sys.executable, "-c", SETUP_CODE, str(seed), *scenarios]
-    t0 = time.perf_counter()
-    subprocess.run(cmd, env=env, cwd=ROOT, check=True, timeout=120)
-    return time.perf_counter() - t0
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        cmd, env=env, cwd=ROOT, check=True, timeout=120, capture_output=True, text=True
+    )
+    return float(proc.stdout.split()[-1]) - t0
 
 
 def warmup_configs(configs) -> list:
@@ -462,10 +504,30 @@ def workload_configs(workload: str, seed: int) -> list:
 # a whole run
 
 
-def measure(workload: str, seed: int, seconds: float, trace: bool, configs=None) -> dict:
-    """One benchmark run; returns the result line plus the run record."""
-    import gc
+def rescale_passes(passes, probe) -> None:
+    """Replace each pass's wall_s by its time at the probe's reference speed."""
+    from speedprobe import rescale
 
+    for p in passes:
+        p["raw_wall_s"] = p["wall_s"]
+        p["wall_s"] = sum(
+            rescale(seconds, probe.samples[slice(*p["windows"][name])])
+            for name, seconds in p["times"].items()
+        )
+
+
+def measure(workload: str, seed: int, seconds: float, trace: bool, configs=None,
+            malloc_pinned: bool = False) -> dict:
+    """One benchmark run; returns the result line plus the run record.
+
+    An untraced run samples the host's speed throughout (speedprobe.py) and
+    reports each pass rescaled to the probe's reference speed. A traced run
+    does not probe, so no probe time lands in a span.
+    """
+    import gc
+    from contextlib import nullcontext
+
+    from speedprobe import INTERVAL_S, REFERENCE_S, SpeedProbe
     from tracer import Tracer
 
     scenarios = WORKLOADS[workload]["scenarios"]
@@ -473,28 +535,32 @@ def measure(workload: str, seed: int, seconds: float, trace: bool, configs=None)
     emit_dir = OUT / "emit" / workload
     setup = [] if trace else [time_setup(scenarios, seed) for _ in range(SETUP_RUNS)]
 
-    warmup = run_pass(warmup_configs(configs), emit_dir)
-    passes, layer_runs, spans = [], [], None
-    longest = 0.0
-    deadline = time.perf_counter() + seconds
-    while True:
-        gc.collect()
-        t0 = time.perf_counter()
-        traced = trace and bool(passes)  # the first pass of a traced run is untraced
-        if traced:
-            with Tracer() as tracer:
-                p = run_pass(configs, emit_dir, tracer)
-            layer_runs.append(
-                layer_metrics(tracer, passes[0]["wall_s"], p["export_bytes"])
-            )
-            spans = spans or tracer
-        else:
-            p = run_pass(configs, emit_dir)
-        p["traced"] = traced
-        passes.append(p)
-        longest = max(longest, time.perf_counter() - t0)
-        if (not trace or layer_runs) and time.perf_counter() + longest > deadline:
-            break
+    probe = None if trace else SpeedProbe()
+    with probe if probe is not None else nullcontext():
+        warmup = run_pass(warmup_configs(configs), emit_dir, probe=probe)
+        passes, layer_runs, spans = [], [], None
+        longest = 0.0
+        deadline = time.perf_counter() + seconds
+        while True:
+            gc.collect()
+            t0 = time.perf_counter()
+            traced = trace and bool(passes)  # the first pass of a traced run is untraced
+            if traced:
+                with Tracer() as tracer:
+                    p = run_pass(configs, emit_dir, tracer)
+                layer_runs.append(
+                    layer_metrics(tracer, passes[0]["wall_s"], p["export_bytes"])
+                )
+                spans = spans or tracer
+            else:
+                p = run_pass(configs, emit_dir, probe=probe)
+            p["traced"] = traced
+            passes.append(p)
+            longest = max(longest, time.perf_counter() - t0)
+            if (not trace or layer_runs) and time.perf_counter() + longest > deadline:
+                break
+    if probe is not None:
+        rescale_passes(passes, probe)
 
     # a call fails if it raised, broke an identity, or its digest moved between passes
     attempted, failed = len(configs), len(warmup["failures"])
@@ -541,11 +607,19 @@ def measure(workload: str, seed: int, seconds: float, trace: bool, configs=None)
     record = {
         "workload": workload,
         "trace": trace,
-        "provenance": provenance(seed),
+        "provenance": provenance(seed, malloc_pinned),
         "setup_s_runs": setup,
         "warmup_s": warmup["wall_s"],
+        "probe": None if probe is None else {
+            "interval_s": INTERVAL_S,
+            "reference_s": REFERENCE_S,
+            "samples": len(probe.samples),
+            "fastest_s": min(probe.samples, default=None),
+            "median_s": statistics.median(probe.samples) if probe.samples else None,
+        },
         "passes": [
-            {k: p[k] for k in ("traced", "wall_s", "times", "digests", "export_bytes")}
+            {k: p[k] for k in ("traced", "wall_s", "raw_wall_s", "times", "digests",
+                                "export_bytes") if k in p}
             for p in passes
         ],
         "digests": passes[0]["digests"],
@@ -569,7 +643,9 @@ def report(workload: str, seed: int, trace: bool, out: dict) -> None:
         print(f"provenance {key} = {value}")
     for i, p in enumerate(record["passes"]):
         kind = "traced" if p["traced"] else "untraced"
-        print(f"pass {i} ({kind}): run_scenario {p['wall_s']:.3f} s")
+        rescaled = f", rescaled {p['wall_s']:.3f} s" if "raw_wall_s" in p else ""
+        print(f"pass {i} ({kind}): run_scenario {p.get('raw_wall_s', p['wall_s']):.3f} s"
+              f"{rescaled}")
     for name, d in record["digests"].items():
         print(f"digest {name} json={d['json']} csv={d['csv']}")
     for note in record["notes"]:
@@ -601,6 +677,7 @@ def main(argv=None) -> int:
         parser.error("--seed must be an unsigned 64-bit integer and --seconds >= 1")
     for var in BLAS_THREAD_VARS:
         os.environ[var] = BLAS_THREADS  # before numpy loads; children inherit it
+    malloc_pinned = pin_allocator()
     if not (SRC / "crspectrum" / "__init__.py").is_file():
         print(f"crbench: no crspectrum sources under {SRC}", file=sys.stderr)
         return 2
@@ -610,7 +687,8 @@ def main(argv=None) -> int:
     if Path(crspectrum.__file__).resolve().parent != SRC / "crspectrum":
         print(f"crbench: imported crspectrum from {crspectrum.__file__}", file=sys.stderr)
         return 2
-    out = measure(args.workload, args.seed, args.seconds, bool(args.trace))
+    out = measure(args.workload, args.seed, args.seconds, bool(args.trace),
+                  malloc_pinned=malloc_pinned)
     report(args.workload, args.seed, bool(args.trace), out)
     return 0
 

@@ -6,6 +6,7 @@
 import hashlib
 import json
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(HERE))
 
 import run  # noqa: E402
+from speedprobe import REFERENCE_S, SpeedProbe, rescale  # noqa: E402
 from tracer import Tracer, traced_targets  # noqa: E402
 
 import crspectrum.harness as harness  # noqa: E402
@@ -107,6 +109,28 @@ def test_wrappers_are_restored_even_after_an_error():
     assert all(a is b for a, b in zip(before, after))
     assert harness.select_action.__module__ == "crspectrum.decision"
     assert vars(ScoreMatrix)["window_records"].__qualname__ == "ScoreMatrix.window_records"
+
+
+def test_rescale_weights_each_sample_by_its_share_of_full_speed():
+    # the probe's own time comes off; half speed for one sample, full for the other
+    ref = REFERENCE_S
+    assert rescale(10.0, [2 * ref, ref]) == pytest.approx((10.0 - 3 * ref) * 0.75)
+    assert rescale(5.0, []) == 5.0
+
+
+def test_speed_probe_changes_no_output_and_restores_the_timer(tmp_path):
+    cfg = small_config("decision-1")
+    plain = run.run_pass([cfg], tmp_path)
+    before = signal.getsignal(signal.SIGALRM)
+    with SpeedProbe() as probe:
+        probed = run.run_pass([cfg], tmp_path, probe=probe)
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert probed["failures"] == {} and probed["digests"] == plain["digests"]
+    first, last = probed["windows"]["decision-1"]
+    assert last > first
+    seconds = probed["times"]["decision-1"]
+    assert rescale(seconds, probe.samples[first:last]) > 0
 
 
 def test_printed_metric_names_are_in_the_spec(capsys):
