@@ -11,6 +11,8 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 SCENARIOS = ("prediction", "fusion", "recommendation", "decision-1", "decision-2")
+# input windows of the prediction scenario's ELM sweep
+SWEEP_WINDOWS = (2, 4, 6, 8, 10, 12, 14)
 
 
 class ConfigError(ValueError):
@@ -199,8 +201,28 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError("bp_lr must be positive")
     if cfg.bp_goal <= 0:
         raise ConfigError("bp_goal must be positive")
+    if cfg.error_rates is None:
+        raise ConfigError("error_rates must list at least one rate")
     if any(not 0 <= e <= 1 for e in cfg.error_rates):
         raise ConfigError("error_rates must lie in [0, 1]")
+    half = cfg.n_slots // 2  # the benchmarks train on the first half
+    if cfg.scenario == "fusion":
+        if not 1 <= len(cfg.error_rates) <= 20:
+            raise ConfigError(
+                "fusion needs 1 to 20 error_rates to keep its state space tabulable"
+            )
+        if half < max(cfg.window, 2):  # the HMM fits on two slots or more
+            raise ConfigError(
+                f"fusion needs n_slots // 2 >= max(window, 2) = "
+                f"{max(cfg.window, 2)}, got {half}"
+            )
+    if cfg.scenario == "prediction":
+        longest = max(cfg.window, *SWEEP_WINDOWS)
+        if half <= longest:
+            raise ConfigError(
+                f"prediction needs n_slots // 2 > {longest} (window and the "
+                f"input-window sweep), got {half}"
+            )
     if cfg.th_mode not in ("half_max", "fixed"):
         raise ConfigError("th_mode must be half_max or fixed")
     for name in ("holding_range", "interarrival_range"):

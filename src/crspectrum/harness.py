@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import ChannelParams, generate_multi, generate_trace, place_users, neighbors
-from .config import SimConfig, config_to_dict
+from .config import SWEEP_WINDOWS, SimConfig, config_to_dict
 from .decision import (
     RewardInputs,
     new_decision_table,
@@ -137,7 +137,7 @@ def run_prediction_benchmark(cfg: SimConfig) -> RunSummary:
     """Train the three predictors on the first half of a trace, score the rest."""
     rows = []
     timings = {}
-    sweep_windows = [2, 4, 6, 8, 10, 12, 14]
+    sweep_windows = list(SWEEP_WINDOWS)
     sweep_mse = np.zeros((cfg.reps, len(sweep_windows)))
     for rep in range(cfg.reps):
         rep_seed = derive_seed(cfg.seed, rep)
@@ -239,8 +239,6 @@ def run_fusion_benchmark(cfg: SimConfig) -> RunSummary:
     """Q-fusion against hard voting, soft combining, and a Markov baseline."""
     rows = []
     rates = np.asarray(cfg.error_rates, dtype=np.float64)
-    if len(rates) > 20:
-        raise ValueError("fusion state space needs at most 20 cooperating users")
     for rep in range(cfg.reps):
         rep_seed = derive_seed(cfg.seed, rep)
         params = _channel_params(cfg, make_rng(rep_seed, _TAG_CHANNELS, 0))
@@ -314,6 +312,34 @@ def run_fusion_benchmark(cfg: SimConfig) -> RunSummary:
 # slot-loop access simulator (recommendation and decision scenarios)
 
 
+class _AdvisoryBits:
+    """Advisory bit A per (channel, slot), computed on first use.
+
+    A is the thresholded next-slot ELM prediction for the channel, or the
+    current slot's state (persistence) where the channel has no model or
+    too little history. It depends on neither the policy nor K, so one
+    instance serves every run over a repetition's traces.
+    """
+
+    def __init__(self, cfg: SimConfig, pu: np.ndarray, models=None):
+        self._cfg, self._pu, self._models = cfg, pu, models
+        self._memo = [None] * pu.size  # row-major over (channel, slot)
+
+    def __call__(self, channel: int, t: int) -> int:
+        key = channel * self._pu.shape[1] + t
+        bit = self._memo[key]
+        if bit is None:
+            cfg = self._cfg
+            model = self._models[channel] if self._models else None
+            if model is None or t + 1 < cfg.window:
+                bit = int(self._pu[channel, t])
+            else:
+                window = self._pu[channel, t - cfg.window + 1: t + 1]
+                bit = threshold(elm_predict(model, window), cfg.lam)
+            self._memo[key] = bit
+        return bit
+
+
 def _simulate_access(
     cfg: SimConfig,
     pu: np.ndarray,
@@ -321,7 +347,7 @@ def _simulate_access(
     k: int,
     env_seed: int,
     act_seed: int,
-    elm_models=None,
+    a_bits: Optional[_AdvisoryBits] = None,
     locations=None,
     neighbor_sets=None,
     collect_events: bool = False,
@@ -334,7 +360,8 @@ def _simulate_access(
     demand); act_seed drives the agent's own randomness. Returns the
     metric counts, the score matrix, and (optionally) per-decision events.
     Accesses granted during the warm-up phase train the agents and seed
-    the score matrix but are excluded from the metric counts.
+    the score matrix but are excluded from the metric counts. a_bits
+    gives advisory bit A; without it A is persistence.
     """
     m_ch, n_slots = pu.shape
     pu_list = pu.tolist()
@@ -360,6 +387,9 @@ def _simulate_access(
     n_total = n_collision = d_success = 0
     events = [] if collect_events else None
     half_horizon = max(1, n_slots // 2)
+    if a_bits is None:
+        a_bits = _AdvisoryBits(cfg, pu)
+    shared_t, shared = -1, None  # slot and value of the last shared listing
 
     def resolve(su, hold, t, collision):
         nonlocal n_total, n_collision, d_success
@@ -396,13 +426,27 @@ def _simulate_access(
                 }
             )
 
-    def predict_bit(channel, t):
-        # advisory bit A: thresholded next-slot prediction for the channel
-        model = elm_models[channel] if elm_models else None
-        if model is None or t + 1 < cfg.window:
-            return pu_list[channel][t]  # not enough history: persistence
-        window = pu[channel, t - cfg.window + 1: t + 1]
-        return threshold(elm_predict(model, window), cfg.lam)
+    def listing(su, t):
+        # the recommendation su sees at slot t: channel scores and the
+        # listed channels, built on first use. The matrix only changes when
+        # holds resolve at the top of a slot, so this equals a listing built
+        # at the start of the slot; without locations it is shared by all.
+        nonlocal shared_t, shared
+        if locations is not None:
+            scores = [
+                final_score_located(
+                    matrix, ch, su, locations, now=t, window=cfg.score_window
+                )
+                for ch in range(m_ch)
+            ]
+            return scores, _listed(scores, _threshold_of(cfg, scores))
+        if shared_t != t:
+            scores = [
+                final_score(matrix, ch, now=t, window=cfg.score_window)
+                for ch in range(m_ch)
+            ]
+            shared_t, shared = t, (scores, _listed(scores, _threshold_of(cfg, scores)))
+        return shared
 
     for t in range(n_slots):
         # resolve running holds before anything else this slot
@@ -422,7 +466,7 @@ def _simulate_access(
         if cfg.burst_requests:
             requesting = [u for u in range(cfg.n_su) if u not in busy] if t % cfg.t == 0 else []
         else:
-            draws = rng_req.random(cfg.n_su)
+            draws = rng_req.random(cfg.n_su).tolist()
             requesting = [
                 u for u in range(cfg.n_su) if u not in busy and draws[u] < cfg.request_prob
             ]
@@ -435,29 +479,12 @@ def _simulate_access(
                 _append_audit(audit, t, pu_list, holder, m_ch)
             continue
 
-        # channel scores for the recommendation signal, frozen for this slot
-        if locations is None:
-            scores = [
-                final_score(matrix, ch, now=t, window=cfg.score_window)
-                for ch in range(m_ch)
-            ]
-            th = _threshold_of(cfg, scores)
-            recommended = _listed(scores, th)
-
         granted_this_slot = set()
         warmup = t < cfg.warmup_slots
         for su in order:
             if su in busy:
                 continue  # claimed as a partner earlier this slot
             if locations is not None:
-                scores = [
-                    final_score_located(
-                        matrix, ch, su, locations, now=t, window=cfg.score_window
-                    )
-                    for ch in range(m_ch)
-                ]
-                th = _threshold_of(cfg, scores)
-                recommended = _listed(scores, th)
                 # pairwise link: without a free neighbor the request dies
                 partner = None
                 for v in sorted(neighbor_sets[su]):
@@ -484,6 +511,7 @@ def _simulate_access(
             elif method == "mdp":
                 channel = _argmax_reward(r_sums, r_counts, state, candidates)
             elif method == "cf":
+                scores, recommended = listing(su, t)
                 listed = [c for c in candidates if c in recommended]
                 if listed:
                     channel = max(listed, key=lambda c: (scores[c], -c))
@@ -493,12 +521,15 @@ def _simulate_access(
                 raise ValueError(f"unknown access method {method!r}")
             if channel is None:
                 continue
+            # bit B: scores only feed it (and cf), so requests that get no
+            # channel are never scored
+            _, recommended = listing(su, t)
             granted_this_slot.add(channel)
             holder[channel] = su
             holds[su] = {
                 "channel": channel,
                 "t0": t,
-                "a": predict_bit(channel, t),
+                "a": a_bits(channel, t),
                 "b": 1 if channel in recommended else 0,
                 "state": state,
             }
@@ -589,7 +620,7 @@ def run_recommendation_benchmark(
             params, cfg.n_slots, derive_seed(rep_seed, _TAG_CHANNELS, 1)
         )
         pu = np.stack([tr.states for tr in traces])
-        elms = _train_channel_elms(cfg, pu, rep_seed)
+        a_bits = _AdvisoryBits(cfg, pu, _train_channel_elms(cfg, pu, rep_seed))
         for method in ("cf", "random"):
             res = _simulate_access(
                 cfg,
@@ -598,8 +629,8 @@ def run_recommendation_benchmark(
                 cfg.k,
                 env_seed=derive_seed(rep_seed, _TAG_SIM, cfg.k),
                 act_seed=derive_seed(rep_seed, _TAG_SIM, cfg.k, _METHOD_IDS[method]),
-                elm_models=elms,
                 collect_events=collect_events,
+                a_bits=a_bits,
             )
             rows.append(_metrics_row(method, cfg.k, rep, res))
             if events is not None:
@@ -636,7 +667,7 @@ def run_decision_scenario(
             params, cfg.n_slots, derive_seed(rep_seed, _TAG_CHANNELS, 1)
         )
         pu = np.stack([tr.states for tr in traces])
-        elms = _train_channel_elms(cfg, pu, rep_seed)
+        a_bits = _AdvisoryBits(cfg, pu, _train_channel_elms(cfg, pu, rep_seed))
         locations = neighbor_sets = None
         if scenario == 2:
             locations = place_users(
@@ -655,10 +686,10 @@ def run_decision_scenario(
                     k,
                     env_seed=derive_seed(rep_seed, _TAG_SIM, k),
                     act_seed=derive_seed(rep_seed, _TAG_SIM, k, _METHOD_IDS[method]),
-                    elm_models=elms,
-                    locations=locations,
+                        locations=locations,
                     neighbor_sets=neighbor_sets,
                     collect_events=collect_events,
+                    a_bits=a_bits,
                 )
                 rows.append(_metrics_row(method, k, rep, res))
                 if events is not None:

@@ -46,8 +46,9 @@ class AccessRecord:
 class ScoreMatrix:
     """Append-only, time-ordered log of access records.
 
-    Records are also indexed per channel so recent-window queries stay cheap
-    inside the slot loop.
+    Records are also indexed per channel (their times and a running sum of
+    their ratings) so recent-window queries inside the slot loop are two
+    bisections, in any time order.
     """
 
     n_su: int
@@ -56,8 +57,11 @@ class ScoreMatrix:
 
     def __post_init__(self):
         self._by_channel = [[] for _ in range(self.m_ch)]
-        for r in self.records:
-            self._by_channel[r.channel].append(r)
+        self._times = [[] for _ in range(self.m_ch)]
+        self._cum = [[0] for _ in range(self.m_ch)]  # ratings before each record
+        records, self.records = self.records, []
+        for r in records:
+            self.append(r)
 
     def append(self, record: AccessRecord) -> None:
         if not 0 <= record.su < self.n_su:
@@ -67,14 +71,27 @@ class ScoreMatrix:
         if self.records and record.t < self.records[-1].t:
             raise ValueError("records must be appended in nondecreasing time order")
         self.records.append(record)
-        self._by_channel[record.channel].append(record)
+        ch = record.channel
+        self._by_channel[ch].append(record)
+        self._times[ch].append(record.t)
+        self._cum[ch].append(self._cum[ch][-1] + record.rating)
+
+    def _window(self, channel: int, now: int, window: int) -> tuple:
+        """Index range of a channel's records with now - window <= t < now."""
+        times = self._times[channel]
+        j = bisect.bisect_left(times, now)
+        return bisect.bisect_left(times, now - window, 0, j), j
 
     def window_records(self, channel: int, now: int, window: int) -> list:
         """Records for a channel within the latest `window` slots before now."""
-        lo = now - window
-        per_ch = self._by_channel[channel]
-        i = bisect.bisect_left(per_ch, lo, key=lambda r: r.t)
-        return [r for r in per_ch[i:] if r.t < now]
+        i, j = self._window(channel, now, window)
+        return self._by_channel[channel][i:j]
+
+    def window_total(self, channel: int, now: int, window: int) -> tuple:
+        """(sum of ratings, record count) over the same window."""
+        i, j = self._window(channel, now, window)
+        cum = self._cum[channel]
+        return cum[j] - cum[i], j - i
 
 
 def cf_predict(
@@ -136,10 +153,10 @@ def final_score(
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    recs = matrix.window_records(channel, now, window)
-    if not recs:
+    total, count = matrix.window_total(channel, now, window)
+    if count == 0:
         return None
-    return sum(r.rating for r in recs) / len(recs)
+    return total / count
 
 
 def final_score_located(

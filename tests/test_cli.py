@@ -60,6 +60,27 @@ class TestExitCodes:
         conf = write_conf(tmp_path, FAST_RECO)
         assert main(["--scenario", "fusion", "--config", conf]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("scenario = fusion\nerror_rates = none\n", "error_rates"),
+            ("scenario = fusion\nerror_rates = " + ",".join(["0.1"] * 21) + "\n",
+             "1 to 20 error_rates"),
+            ("scenario = fusion\nn_slots = 19\nwindow = 10\n", "n_slots // 2"),
+            ("scenario = prediction\nn_slots = 29\n", "n_slots // 2 > 14"),
+        ],
+        ids=["fusion-no-rates", "fusion-21-rates", "fusion-short-horizon",
+             "prediction-short-horizon"],
+    )
+    def test_config_the_run_cannot_use_is_config_error(self, tmp_path, capsys, text, message):
+        conf = write_conf(tmp_path, text)
+        assert main(["--config", conf, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_shortest_prediction_horizon_runs(self, tmp_path):
+        conf = write_conf(tmp_path, "scenario = prediction\nn_slots = 30\nbp_epochs = 2\n")
+        assert main(["--config", conf, "--out", str(tmp_path / "out")]) == 0
+
     def test_bad_choice_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["--scenario", "warp-drive"])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crspectrum.channel import SuLocation
 from crspectrum.recommender import (
@@ -50,6 +52,11 @@ class TestScoreMatrix:
         m.append(AccessRecord(su=0, channel=0, t=5, rating=1))
         with pytest.raises(ValueError):
             m.append(AccessRecord(su=0, channel=0, t=4, rating=1))
+
+    def test_constructor_records_checked_like_appends(self):
+        late, early = (AccessRecord(su=0, channel=0, t=t, rating=1) for t in (5, 4))
+        with pytest.raises(ValueError):
+            ScoreMatrix(n_su=1, m_ch=1, records=[late, early])
 
     def test_index_range(self):
         m = ScoreMatrix(n_su=1, m_ch=1)
@@ -171,6 +178,58 @@ class TestFinalScoreLocated:
                 assert located is None
             else:
                 assert located <= plain + 1e-12
+
+
+N_SU, M_CH = 4, 3
+
+# a time-ordered log: (su, channel, time step >= 0, rating) per record
+record_logs = st.lists(
+    st.tuples(
+        st.integers(0, N_SU - 1),
+        st.integers(0, M_CH - 1),
+        st.integers(0, 3),
+        st.integers(0, 10),
+    ),
+    max_size=40,
+)
+# queries in any time order, including windows that reach before slot 0
+queries = st.lists(
+    st.tuples(st.integers(0, M_CH - 1), st.integers(-5, 70), st.integers(1, 30)),
+    min_size=1,
+    max_size=15,
+)
+places = st.lists(
+    st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+    min_size=N_SU,
+    max_size=N_SU,
+)
+
+
+class TestWindowQueriesMatchBruteForce:
+    @settings(max_examples=200, deadline=None)
+    @given(record_logs, queries, places)
+    def test_window_and_scores(self, log, asked, xy):
+        m = ScoreMatrix(n_su=N_SU, m_ch=M_CH)
+        t = 0
+        for su, ch, step, rating in log:
+            t += step
+            m.append(AccessRecord(su=su, channel=ch, t=t, rating=rating))
+        rebuilt = ScoreMatrix(n_su=N_SU, m_ch=M_CH, records=list(m.records))
+        locs = [SuLocation(x, y, 5.0) for x, y in xy]
+        for ch, now, window in asked:
+            want = [r for r in m.records if r.channel == ch and now - window <= r.t < now]
+            assert m.window_records(ch, now, window) == want
+            assert rebuilt.window_total(ch, now, window) == m.window_total(ch, now, window)
+            plain = final_score(m, ch, now=now, window=window)
+            located = final_score_located(m, ch, 0, locs, now=now, window=window)
+            if not want:
+                assert plain is None and located is None
+                continue
+            assert plain == sum(r.rating for r in want) / len(want)
+            weighted = 0.0
+            for r in want:
+                weighted += r.rating * math.exp(-locs[0].distance_to(locs[r.su]))
+            assert located == weighted / len(want)
 
 
 class TestRecommend:
