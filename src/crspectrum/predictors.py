@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -137,11 +138,14 @@ def threshold(raw: float, lam: float = 0.5) -> int:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never
+    # overflows; exp(-|z|) is exactly the exponent of either branch.
+    # Overwrites z: every caller passes a fresh temporary.
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
+    out = np.where(pos, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -174,11 +178,10 @@ def bp_loss(model: BpModel, X: np.ndarray, T: np.ndarray) -> float:
     return float(np.mean((y - T) ** 2))
 
 
-def _bp_grads(w1, b1, w2, b2, X, T):
-    # analytic gradients of mean squared error; validated against central
-    # finite differences in the test suite
+def _bp_backward(h, y, w2, X, T):
+    # analytic gradients of mean squared error from the forward pass (h, y);
+    # validated against central finite differences in the test suite
     S = X.shape[0]
-    h, y = _bp_forward(w1, b1, w2, b2, X)
     g_out = (2.0 / S) * (y - T) * y * (1.0 - y)      # S
     gw2 = h.T @ g_out                                 # L
     gb2 = float(np.sum(g_out))
@@ -190,7 +193,8 @@ def _bp_grads(w1, b1, w2, b2, X, T):
 
 def bp_gradients(model: BpModel, X: np.ndarray, T: np.ndarray):
     """Gradients of bp_loss with respect to (w_hidden, b_hidden, w_out, b_out)."""
-    return _bp_grads(model.w_hidden, model.b_hidden, model.w_out, model.b_out, X, T)
+    h, y = _bp_forward(model.w_hidden, model.b_hidden, model.w_out, model.b_out, X)
+    return _bp_backward(h, y, model.w_out, X, T)
 
 
 def bp_train(
@@ -222,14 +226,18 @@ def bp_train(
     b2 = float(rng.uniform(-0.5, 0.5))
     X, T = data.inputs, data.targets
     epochs_run = 0
+    # one forward pass per epoch: the pass after each update gives both the
+    # stop check and the next epoch's gradients
+    h, y = _bp_forward(w1, b1, w2, b2, X)
     for _ in range(max_epochs):
-        gw1, gb1, gw2, gb2 = _bp_grads(w1, b1, w2, b2, X, T)
+        gw1, gb1, gw2, gb2 = _bp_backward(h, y, w2, X, T)
+        del h, y  # free the old activations before the next pass allocates
         w1 -= learning_rate * gw1
         b1 -= learning_rate * gb1
         w2 -= learning_rate * gw2
         b2 -= learning_rate * gb2
         epochs_run += 1
-        _, y = _bp_forward(w1, b1, w2, b2, X)
+        h, y = _bp_forward(w1, b1, w2, b2, X)
         if float(np.mean((y - T) ** 2)) <= goal_mse:
             break
     return BpModel(
@@ -312,21 +320,27 @@ def hmm_predict(model: HmmModel, observations: Sequence[int]) -> int:
     The delta recursion runs in log domain; the decoded final state's
     transition row gives the prediction.
     """
-    obs = np.asarray(observations, dtype=np.int64)
+    obs = np.asarray(observations, dtype=np.int64).tolist()
     if len(obs) == 0:
         raise ValueError("observations must be nonempty")
     n_obs = model.B.shape[1]
-    if obs.min() < 0 or obs.max() >= n_obs:
+    if min(obs) < 0 or max(obs) >= n_obs:
         raise ValueError("observation outside the model's observation space")
+    # plain floats: for a handful of states, list arithmetic beats numpy's
+    # per-call overhead. The adds are the array recursion's, and
+    # max(..., key=) keeps the first maximum, as argmax does.
     with np.errstate(divide="ignore"):
-        log_pi = np.log(model.pi)
-        log_A = np.log(model.A)
-        log_B = np.log(model.B)
-    delta = log_pi + log_B[:, obs[0]]
+        log_pi = np.log(model.pi).tolist()
+        log_A_cols = np.log(model.A).T.tolist()
+        log_B_obs = np.log(model.B).T.tolist()
+    delta = list(map(add, log_pi, log_B_obs[obs[0]]))
     for o in obs[1:]:
-        delta = np.max(delta[:, None] + log_A, axis=0) + log_B[:, o]
-    q_last = int(np.argmax(delta))
-    return int(np.argmax(model.A[q_last]))
+        delta = [
+            max(map(add, delta, col)) + b for col, b in zip(log_A_cols, log_B_obs[o])
+        ]
+    q_last = max(range(len(delta)), key=delta.__getitem__)
+    row = model.A[q_last].tolist()
+    return max(range(len(row)), key=row.__getitem__)
 
 
 @dataclass

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crspectrum.channel import ChannelParams, generate_trace
 from crspectrum.predictors import (
     BpModel,
     TrainingSet,
+    _sigmoid,
     bp_gradients,
     bp_loss,
     bp_predict,
@@ -24,6 +27,7 @@ from crspectrum.predictors import (
     threshold,
     transition_error_fraction,
 )
+from crspectrum.seeding import make_rng
 
 
 class TestMakeTrainingSet:
@@ -257,6 +261,143 @@ class TestBp:
         assert a.b_out == b.b_out
 
 
+def _sigmoid_reference(z):
+    # the masked two-branch form the library used before its in-place one
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _bp_train_reference(data, hidden_count, learning_rate, max_epochs, goal_mse, seed):
+    """Two forward passes per epoch (gradients, then the stop check)."""
+
+    def forward(w1, b1, w2, b2, X):
+        h = _sigmoid_reference(X @ w1.T + b1)
+        return h, _sigmoid_reference(h @ w2 + b2)
+
+    rng = make_rng(seed)
+    n = data.window
+    w1 = rng.uniform(-0.5, 0.5, size=(hidden_count, n))
+    b1 = rng.uniform(-0.5, 0.5, size=hidden_count)
+    w2 = rng.uniform(-0.5, 0.5, size=hidden_count)
+    b2 = float(rng.uniform(-0.5, 0.5))
+    X, T = data.inputs, data.targets
+    S = X.shape[0]
+    epochs_run = 0
+    for _ in range(max_epochs):
+        h, y = forward(w1, b1, w2, b2, X)
+        g_out = (2.0 / S) * (y - T) * y * (1.0 - y)
+        gw2 = h.T @ g_out
+        gb2 = float(np.sum(g_out))
+        g_hidden = np.outer(g_out, w2) * h * (1.0 - h)
+        gw1 = g_hidden.T @ X
+        gb1 = g_hidden.sum(axis=0)
+        w1 -= learning_rate * gw1
+        b1 -= learning_rate * gb1
+        w2 -= learning_rate * gw2
+        b2 -= learning_rate * gb2
+        epochs_run += 1
+        _, y = forward(w1, b1, w2, b2, X)
+        if float(np.mean((y - T) ** 2)) <= goal_mse:
+            break
+    return w1, b1, w2, b2, epochs_run
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestBpBitExact:
+    """The in-place sigmoid and one-pass training give the old bits exactly."""
+
+    EDGES = [0.0, 5e-324, 1e-310, 36.7, 709.8, 745.2, 1e3, np.inf]
+
+    def test_sigmoid_edges(self):
+        z = np.array(self.EDGES + [-v for v in self.EDGES])
+        assert np.signbit(z[len(self.EDGES)])  # -0.0 is in the set
+        np.testing.assert_array_equal(
+            _bits(_sigmoid(z.copy())), _bits(_sigmoid_reference(z))
+        )
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0, 800.0])
+    def test_sigmoid_random(self, scale):
+        z = np.random.default_rng(int(scale * 10)).normal(scale=scale, size=(499, 50))
+        np.testing.assert_array_equal(
+            _bits(_sigmoid(z.copy())), _bits(_sigmoid_reference(z))
+        )
+
+    def test_sigmoid_nan(self):
+        assert np.all(np.isnan(_sigmoid(np.array([np.nan, -np.nan]))))
+
+    @pytest.mark.parametrize(
+        "goal_mse, max_epochs, expect_epochs",
+        [(1e-4, 60, 60), (0.2, 200, 32), (1e-4, 1, 1)],
+        ids=["to-max-epochs", "goal-stops-early", "one-epoch"],
+    )
+    def test_bp_train_matches_two_pass_reference(
+        self, goal_mse, max_epochs, expect_epochs
+    ):
+        tr = generate_trace(ChannelParams(10.0, 10.0), 1000, seed=5)
+        data = make_training_set(tr, 10)
+        model = bp_train(
+            data, hidden_count=50, learning_rate=0.2, max_epochs=max_epochs,
+            goal_mse=goal_mse, seed=5,
+        )
+        w1, b1, w2, b2, epochs_run = _bp_train_reference(
+            data, 50, 0.2, max_epochs, goal_mse, 5
+        )
+        assert model.epochs_run == epochs_run == expect_epochs
+        np.testing.assert_array_equal(_bits(model.w_hidden), _bits(w1))
+        np.testing.assert_array_equal(_bits(model.b_hidden), _bits(b1))
+        np.testing.assert_array_equal(_bits(model.w_out), _bits(w2))
+        assert _bits(model.b_out) == _bits(b2)
+
+
+class TestBpLeavesInputsAlone:
+    """_sigmoid writes into its argument; no public call may expose that."""
+
+    def _setup(self):
+        rng = np.random.default_rng(31)
+        model = _random_bp(rng, 6, 9)
+        X = rng.integers(0, 2, size=(40, 6)).astype(float)
+        T = rng.integers(0, 2, size=40).astype(float)
+        snapshot = [a.copy() for a in self._arrays(model, X, T)]
+        return model, X, T, snapshot + [model.b_out]
+
+    @staticmethod
+    def _arrays(model, X, T):
+        return model.w_hidden, model.b_hidden, model.w_out, X, T
+
+    def _assert_unchanged(self, model, X, T, snapshot):
+        for now, before in zip(self._arrays(model, X, T), snapshot):
+            np.testing.assert_array_equal(now, before)
+        assert model.b_out == snapshot[-1]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m, X, T: bp_predict(m, X[0]),
+            lambda m, X, T: bp_predict_many(m, X),
+            lambda m, X, T: bp_loss(m, X, T),
+            lambda m, X, T: bp_gradients(m, X, T),
+        ],
+        ids=["bp_predict", "bp_predict_many", "bp_loss", "bp_gradients"],
+    )
+    def test_call_is_pure(self, call):
+        model, X, T, snapshot = self._setup()
+        first = call(model, X, T)
+        self._assert_unchanged(model, X, T, snapshot)
+        second = call(model, X, T)
+        self._assert_unchanged(model, X, T, snapshot)
+        if not isinstance(first, tuple):
+            first, second = (first,), (second,)
+        for a, b in zip(first, second, strict=True):
+            np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
 class TestHmm:
     def test_alternating_transitions(self):
         states = np.tile([0, 1], 500)
@@ -302,6 +443,58 @@ class TestHmm:
         model = hmm_fit(np.tile([0, 1], 50))
         with pytest.raises(ValueError):
             hmm_predict(model, [0, 2])
+
+
+def _hmm_predict_reference(model, observations):
+    # the numpy Viterbi the library used before its plain-float one
+    obs = np.asarray(observations, dtype=np.int64)
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(model.pi)
+        log_A = np.log(model.A)
+        log_B = np.log(model.B)
+    delta = log_pi + log_B[:, obs[0]]
+    for o in obs[1:]:
+        delta = np.max(delta[:, None] + log_A, axis=0) + log_B[:, o]
+    q_last = int(np.argmax(delta))
+    return int(np.argmax(model.A[q_last]))
+
+
+# small integer weights make zero entries (log -inf) and exact ties common
+_weight = st.one_of(st.integers(0, 3).map(float), st.floats(1e-3, 1.0))
+
+
+def _stochastic(n_rows, n_cols):
+    rows = st.lists(
+        st.lists(_weight, min_size=n_cols, max_size=n_cols).filter(any),
+        min_size=n_rows, max_size=n_rows,
+    )
+    return rows.map(lambda r: np.array(r) / np.array(r).sum(axis=1, keepdims=True))
+
+
+@st.composite
+def _hmm_and_window(draw):
+    n, n_obs = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    model = HmmModel(
+        pi=draw(_stochastic(1, n))[0],
+        A=draw(_stochastic(n, n)),
+        B=draw(_stochastic(n, n_obs)),
+    )
+    window = draw(st.lists(st.integers(0, n_obs - 1), min_size=1, max_size=15))
+    return model, window
+
+
+class TestHmmMatchesNumpyViterbi:
+    @settings(max_examples=300, deadline=None)
+    @given(_hmm_and_window())
+    def test_same_prediction(self, case):
+        model, window = case
+        assert hmm_predict(model, window) == _hmm_predict_reference(model, window)
+
+    def test_fitted_model_on_trace_windows(self):
+        tr = generate_trace(ChannelParams(7.0, 3.0), 3000, seed=12)
+        model = hmm_fit(tr)
+        for w in make_training_set(tr, 10).inputs.astype(np.int64):
+            assert hmm_predict(model, w) == _hmm_predict_reference(model, w)
 
 
 class TestEvalPrediction:
