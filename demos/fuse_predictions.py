@@ -13,6 +13,7 @@ import numpy as np
 from crspectrum.channel import ChannelParams, generate_trace
 from crspectrum.fusion import (
     decode_state,
+    encode_state,
     greedy_actions,
     m_out_of_n,
     noisy_local_predictions,
@@ -47,7 +48,7 @@ def main():
     accuracies["soft combining"] = float(np.mean(soft == states))
 
     table = train_fusion(bits, states, seed=SEED + 2)
-    learned = greedy_actions(table)[bits @ (1 << np.arange(3))]
+    learned = greedy_actions(table)[encode_state(bits)]
     accuracies["learned fusion"] = float(np.mean(learned == states))
 
     print("\nfusion rules:")

@@ -10,7 +10,7 @@ pure function of (params, n_slots, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,22 +43,6 @@ class ChannelParams:
     def idle(cls) -> "ChannelParams":
         """A channel that is never occupied."""
         return cls(mean_interarrival=1.0, mean_holding=1.0, always_idle=True)
-
-
-@dataclass(frozen=True)
-class SlotConfig:
-    """Slot phase durations: sensing time followed by communication time."""
-
-    t_sense: float
-    t_comm: float
-
-    def __post_init__(self):
-        if self.t_sense <= 0 or self.t_comm <= 0:
-            raise ValueError("slot phases must be positive")
-
-    @property
-    def slot_length(self) -> float:
-        return self.t_sense + self.t_comm
 
 
 @dataclass(frozen=True)
@@ -161,13 +145,3 @@ def neighbors(locs, k: int) -> set[int]:
         if j != k and me.distance_to(other) <= me.comm_radius
     }
 
-
-def traces_to_csv(traces) -> str:
-    """Render traces as CSV text: slot,channel_0,...,channel_{M-1}."""
-    traces = list(traces)
-    header = "slot," + ",".join(f"channel_{i}" for i in range(len(traces)))
-    lines = [header]
-    n_slots = traces[0].n_slots if traces else 0
-    for t in range(n_slots):
-        lines.append(f"{t}," + ",".join(str(int(tr.states[t])) for tr in traces))
-    return "\n".join(lines) + "\n"

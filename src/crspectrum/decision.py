@@ -11,35 +11,17 @@ random priority arbitration live here too.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
+# the packed sensed state is the fusion module's bit packing
+from .fusion import decode_state as decode_env_state  # noqa: F401
+from .fusion import encode_state as encode_env_state  # noqa: F401
+
 # 2^M states must stay tabulable
 _MAX_CHANNELS = 20
-
-
-def encode_env_state(channel_states) -> int:
-    """Pack M per-channel states into one integer, channel i weighted 2^i."""
-    bits = np.asarray(
-        getattr(channel_states, "states", channel_states), dtype=np.int64
-    )
-    if bits.ndim != 1 or len(bits) == 0:
-        raise ValueError("need a nonempty 1-d state vector")
-    if len(bits) > _MAX_CHANNELS:
-        raise ValueError(f"at most {_MAX_CHANNELS} channels, got {len(bits)}")
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("channel states must be 0 or 1")
-    return int(bits @ (1 << np.arange(len(bits), dtype=np.int64)))
-
-
-def decode_env_state(code: int, m_channels: int) -> np.ndarray:
-    """Inverse of encode_env_state for a known channel count."""
-    if not 0 <= code < (1 << m_channels):
-        raise ValueError(f"code {code} out of range for {m_channels} channels")
-    return (code >> np.arange(m_channels, dtype=np.int64)) & 1
 
 
 @dataclass(frozen=True)
@@ -148,47 +130,6 @@ def q_update(
     return table
 
 
-def transition_counts(codes: Sequence[int], n_states: int) -> np.ndarray:
-    """Count consecutive-slot transitions of an encoded state sequence."""
-    codes = np.asarray(codes, dtype=np.int64)
-    if len(codes) < 2:
-        raise ValueError("need at least 2 slots to count transitions")
-    if codes.min() < 0 or codes.max() >= n_states:
-        raise ValueError("encoded state out of range")
-    counts = np.zeros((n_states, n_states))
-    np.add.at(counts, (codes[:-1], codes[1:]), 1.0)
-    return counts
-
-
-def normalize_transitions(counts: np.ndarray) -> np.ndarray:
-    """Row-normalize counts; states never left get a self-loop row."""
-    counts = np.asarray(counts, dtype=np.float64)
-    totals = counts.sum(axis=1)
-    P = np.zeros_like(counts)
-    observed = totals > 0
-    P[observed] = counts[observed] / totals[observed, None]
-    for s in np.flatnonzero(~observed):
-        P[s, s] = 1.0
-    return P
-
-
-def estimate_transitions(traces) -> np.ndarray:
-    """Empirical state-evolution matrix from per-channel occupancy traces.
-
-    Channel evolution does not depend on the agents' choices, so one row
-    per state serves every action.
-    """
-    arrays = [np.asarray(getattr(tr, "states", tr)) for tr in traces]
-    m = len(arrays)
-    if m == 0:
-        raise ValueError("need at least one channel trace")
-    stacked = np.stack(arrays, axis=1)  # T x M
-    if stacked.shape[0] < 2:
-        raise ValueError("need at least 2 slots to estimate transitions")
-    codes = stacked @ (1 << np.arange(m, dtype=np.int64))
-    return normalize_transitions(transition_counts(codes, 1 << m))
-
-
 @dataclass
 class MdpModel:
     """Empirical decision process: shared transitions, per-(s,a) rewards."""
@@ -264,55 +205,3 @@ def random_access(
         return None
     return int(cands[int(rng.integers(0, len(cands)))])
 
-
-def decision_table_to_json(table: DecisionQTable) -> str:
-    doc = {
-        "kind": "decision_q",
-        "n_states": table.n_states,
-        "n_actions": table.n_actions,
-        "values": table.values.ravel().tolist(),
-        "alpha": table.alpha,
-        "gamma": table.gamma,
-        "epsilon": table.epsilon,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def decision_table_from_json(text: str) -> DecisionQTable:
-    doc = json.loads(text)
-    if doc.get("kind") != "decision_q":
-        raise ValueError("not a decision table document")
-    values = np.array(doc["values"]).reshape(doc["n_states"], doc["n_actions"])
-    return DecisionQTable(
-        values=values,
-        alpha=doc["alpha"],
-        gamma=doc["gamma"],
-        epsilon=doc["epsilon"],
-    )
-
-
-def mdp_to_json(model: MdpModel) -> str:
-    doc = {
-        "kind": "mdp",
-        "gamma": model.gamma,
-        "transition_shape": list(np.shape(model.transition)),
-        "transition": np.asarray(model.transition).ravel().tolist(),
-        "reward_shape": list(np.shape(model.reward)),
-        "reward": np.asarray(model.reward).ravel().tolist(),
-        "v": None if model.v is None else np.asarray(model.v).tolist(),
-        "policy": None if model.policy is None else np.asarray(model.policy).tolist(),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def mdp_from_json(text: str) -> MdpModel:
-    doc = json.loads(text)
-    if doc.get("kind") != "mdp":
-        raise ValueError("not an MDP document")
-    return MdpModel(
-        transition=np.array(doc["transition"]).reshape(doc["transition_shape"]),
-        reward=np.array(doc["reward"]).reshape(doc["reward_shape"]),
-        gamma=doc["gamma"],
-        v=None if doc["v"] is None else np.array(doc["v"]),
-        policy=None if doc["policy"] is None else np.array(doc["policy"], dtype=np.int64),
-    )

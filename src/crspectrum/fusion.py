@@ -15,40 +15,32 @@ import numpy as np
 
 from .seeding import make_rng
 
-# table index space is 2^N, so the user count must stay tabulable
-_MAX_USERS = 20
+# codes index tables of 2^n rows, so the bit count must stay tabulable
+_MAX_BITS = 20
 
 
-@dataclass
-class LocalPredictions:
-    """One slot's per-user binary predictions."""
+def encode_state(bits):
+    """Pack 0/1 bits along the last axis, bit i weighted 2^i.
 
-    bits: np.ndarray  # length N, entries 0/1, user i at position i
-    t: int = 0
-
-
-def _bits_of(preds) -> np.ndarray:
-    bits = getattr(preds, "bits", preds)
-    return np.asarray(bits, dtype=np.int64)
-
-
-def encode_state(preds) -> int:
-    """Pack N prediction bits into one integer, user i weighted 2^i."""
-    bits = _bits_of(preds)
-    if bits.ndim != 1 or len(bits) == 0:
-        raise ValueError("need a nonempty 1-d bit vector")
-    if len(bits) > _MAX_USERS:
-        raise ValueError(f"at most {_MAX_USERS} users, got {len(bits)}")
+    A 1-d vector gives one int; a 2-d array gives one int64 code per row.
+    """
+    bits = np.asarray(bits, dtype=np.int64)
+    if bits.ndim not in (1, 2) or bits.size == 0:
+        raise ValueError("need a nonempty 1-d or 2-d bit array")
+    n_bits = bits.shape[-1]
+    if n_bits > _MAX_BITS:
+        raise ValueError(f"at most {_MAX_BITS} bits, got {n_bits}")
     if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("prediction bits must be 0 or 1")
-    return int(bits @ (1 << np.arange(len(bits), dtype=np.int64)))
+        raise ValueError("bits must be 0 or 1")
+    codes = bits @ (1 << np.arange(n_bits, dtype=np.int64))
+    return int(codes) if bits.ndim == 1 else codes
 
 
-def decode_state(code: int, n_users: int) -> np.ndarray:
-    """Inverse of encode_state for a known user count."""
-    if not 0 <= code < (1 << n_users):
-        raise ValueError(f"code {code} out of range for {n_users} users")
-    return (code >> np.arange(n_users, dtype=np.int64)) & 1
+def decode_state(code: int, n_bits: int) -> np.ndarray:
+    """Inverse of encode_state for a known bit count."""
+    if not 0 <= code < (1 << n_bits):
+        raise ValueError(f"code {code} out of range for {n_bits} bits")
+    return (code >> np.arange(n_bits, dtype=np.int64)) & 1
 
 
 @dataclass
@@ -80,8 +72,8 @@ def new_table(
     r_n: float = -1.0,
     epsilon: float = 0.1,
 ) -> FusionQTable:
-    if not 1 <= n_users <= _MAX_USERS:
-        raise ValueError(f"n_users must be in [1, {_MAX_USERS}], got {n_users}")
+    if not 1 <= n_users <= _MAX_BITS:
+        raise ValueError(f"n_users must be in [1, {_MAX_BITS}], got {n_users}")
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if not 0 <= gamma < 1:
@@ -119,14 +111,25 @@ def fusion_step(
         raise ValueError(f"actual must be 0 or 1, got {actual}")
     eps = table.epsilon if epsilon is None else epsilon
     lr = table.alpha if alpha is None else alpha
-    if eps > 0 and rng.random() < eps:
-        action = int(rng.integers(0, 2))
-    else:
-        action = int(np.argmax(table.values[state]))
+    action = _fusion_act(table, state, eps, rng)
+    _fusion_learn(table, state, action, next_state, actual, lr)
+    return action, table
+
+
+def _fusion_act(table: FusionQTable, state: int, epsilon: float, rng) -> int:
+    """Uniform action with probability epsilon, else greedy (ties toward idle)."""
+    if epsilon > 0 and rng.random() < epsilon:
+        return int(rng.integers(0, 2))
+    return int(np.argmax(table.values[state]))
+
+
+def _fusion_learn(
+    table: FusionQTable, state: int, action: int, next_state: int, actual: int, lr
+) -> None:
+    """Move Q(state, action) toward reward plus discounted best next value."""
     r = table.r_p if action == actual else table.r_n
     target = r + table.gamma * float(np.max(table.values[next_state]))
     table.values[state, action] += lr * (target - table.values[state, action])
-    return action, table
 
 
 def greedy_actions(table: FusionQTable) -> np.ndarray:
@@ -142,14 +145,13 @@ def train_fusion(
     r_p: float = 1.0,
     r_n: float = -1.0,
     epsilon: float = 0.1,
-    sample_average: bool = True,
 ) -> FusionQTable:
     """Run the fusion learner over a full trace of local predictions.
 
     local_bits is T x N. Exploration decays linearly from epsilon to zero
-    over the first half of the run; with sample_average the learning rate
-    for each (state, action) is 1/visit-count, which settles the greedy
-    policy on the empirically best action per state.
+    over the first half of the run; the learning rate for each
+    (state, action) is 1/visit-count, which settles the greedy policy on
+    the empirically best action per state.
     """
     local_bits = np.asarray(local_bits, dtype=np.int64)
     actual = np.asarray(actual, dtype=np.int64)
@@ -160,27 +162,22 @@ def train_fusion(
         raise ValueError("need at least 2 slots to train")
     table = new_table(n_users, gamma=gamma, r_p=r_p, r_n=r_n, epsilon=epsilon)
     rng = make_rng(seed)
-    codes = local_bits @ (1 << np.arange(n_users, dtype=np.int64))
+    codes = encode_state(local_bits)
     visits = np.zeros((table.n_states, 2), dtype=np.int64)
     half = (T - 1) / 2.0
     for t in range(T - 1):
+        s = int(codes[t])
         eps_t = epsilon * max(0.0, 1.0 - t / half)
-        s, s_next = int(codes[t]), int(codes[t + 1])
-        if eps_t > 0 and rng.random() < eps_t:
-            action = int(rng.integers(0, 2))
-        else:
-            action = int(np.argmax(table.values[s]))
+        action = _fusion_act(table, s, eps_t, rng)
         visits[s, action] += 1
-        lr = 1.0 / visits[s, action] if sample_average else table.alpha
-        r = r_p if action == actual[t] else r_n
-        target = r + gamma * float(np.max(table.values[s_next]))
-        table.values[s, action] += lr * (target - table.values[s, action])
+        lr = 1.0 / visits[s, action]
+        _fusion_learn(table, s, action, int(codes[t + 1]), actual[t], lr)
     return table
 
 
 def m_out_of_n(preds, m: int) -> int:
     """Hard vote: busy when at least m of the N users predict busy."""
-    bits = _bits_of(preds)
+    bits = np.asarray(preds, dtype=np.int64)
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("prediction bits must be 0 or 1")
     if not 1 <= m <= len(bits):
@@ -216,11 +213,3 @@ def noisy_local_predictions(
     rng = make_rng(seed)
     flips = rng.random((len(states), len(rates))) < rates[None, :]
     return np.where(flips, 1 - states[:, None], states[:, None]).astype(np.int64)
-
-
-def table_to_csv(table: FusionQTable) -> str:
-    """Dump the table as CSV: state,q_idle,q_busy."""
-    lines = ["state,q_idle,q_busy"]
-    for s in range(table.n_states):
-        lines.append(f"{s},{float(table.values[s, 0])!r},{float(table.values[s, 1])!r}")
-    return "\n".join(lines) + "\n"

@@ -24,6 +24,7 @@ from .channel import ChannelParams, generate_multi, generate_trace, place_users,
 from .config import SWEEP_WINDOWS, SimConfig, config_to_dict
 from .decision import (
     RewardInputs,
+    arbitrate,
     new_decision_table,
     q_update,
     random_access,
@@ -31,6 +32,7 @@ from .decision import (
     select_action,
 )
 from .fusion import (
+    encode_state,
     greedy_actions,
     m_out_of_n,
     noisy_local_predictions,
@@ -56,6 +58,7 @@ from .recommender import (
     default_threshold,
     final_score,
     final_score_located,
+    recommend,
     score_access,
 )
 from .seeding import derive_seed, make_rng
@@ -257,8 +260,7 @@ def run_fusion_benchmark(cfg: SimConfig) -> RunSummary:
             epsilon=cfg.epsilon,
         )
         policy = greedy_actions(table)
-        codes = bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
-        preds = {"q_fusion": policy[codes]}
+        preds = {"q_fusion": policy[encode_state(bits)]}
         n = bits.shape[1]
         for m in range(1, n + 1):
             preds[f"vote_m{m}"] = np.array([m_out_of_n(b, m) for b in bits])
@@ -349,7 +351,7 @@ def _simulate_access(
     act_seed: int,
     a_bits: Optional[_AdvisoryBits] = None,
     locations=None,
-    neighbor_sets=None,
+    neighbor_lists=None,
     collect_events: bool = False,
     audit: Optional[list] = None,
 ):
@@ -361,12 +363,13 @@ def _simulate_access(
     metric counts, the score matrix, and (optionally) per-decision events.
     Accesses granted during the warm-up phase train the agents and seed
     the score matrix but are excluded from the metric counts. a_bits
-    gives advisory bit A; without it A is persistence.
+    gives advisory bit A; without it A is persistence. With locations
+    (decision-2), neighbor_lists[u] holds u's partners in increasing
+    index order and a request takes the first one not busy.
     """
     m_ch, n_slots = pu.shape
     pu_list = pu.tolist()
-    weights = 1 << np.arange(m_ch, dtype=np.int64)
-    codes = (pu.T.astype(np.int64) @ weights).tolist()
+    codes = encode_state(pu.T).tolist()
 
     rng_req = make_rng(env_seed, 0)
     rng_arb = make_rng(env_seed, 1)
@@ -439,13 +442,14 @@ def _simulate_access(
                 )
                 for ch in range(m_ch)
             ]
-            return scores, _listed(scores, _threshold_of(cfg, scores))
+            return scores, recommend(scores, _threshold_of(cfg, scores))
         if shared_t != t:
             scores = [
                 final_score(matrix, ch, now=t, window=cfg.score_window)
                 for ch in range(m_ch)
             ]
-            shared_t, shared = t, (scores, _listed(scores, _threshold_of(cfg, scores)))
+            shared_t = t
+            shared = scores, recommend(scores, _threshold_of(cfg, scores))
         return shared
 
     for t in range(n_slots):
@@ -461,19 +465,15 @@ def _simulate_access(
 
         state = codes[t]
 
-        # who requests: idle users, by coin flip or in periodic bursts
+        # who requests: by coin flip or in periodic bursts; arbitration
+        # drops the users already busy
         busy = set(holds) | set(partner_of)
         if cfg.burst_requests:
-            requesting = [u for u in range(cfg.n_su) if u not in busy] if t % cfg.t == 0 else []
+            requesting = range(cfg.n_su) if t % cfg.t == 0 else ()
         else:
             draws = rng_req.random(cfg.n_su).tolist()
-            requesting = [
-                u for u in range(cfg.n_su) if u not in busy and draws[u] < cfg.request_prob
-            ]
-        if requesting:
-            order = [requesting[i] for i in rng_arb.permutation(len(requesting))]
-        else:
-            order = []
+            requesting = [u for u in range(cfg.n_su) if draws[u] < cfg.request_prob]
+        order = arbitrate(requesting, busy, rng_arb)
         if not order:
             if audit is not None:
                 _append_audit(audit, t, pu_list, holder, m_ch)
@@ -487,7 +487,7 @@ def _simulate_access(
             if locations is not None:
                 # pairwise link: without a free neighbor the request dies
                 partner = None
-                for v in sorted(neighbor_sets[su]):
+                for v in neighbor_lists[su]:
                     if v not in busy:
                         partner = v
                         break
@@ -569,10 +569,6 @@ def _threshold_of(cfg: SimConfig, scores):
         return cfg.th_value
     th = default_threshold(scores)
     return 0.0 if th is None else th
-
-
-def _listed(scores, th):
-    return {ch for ch, s in enumerate(scores) if s is not None and s > th}
 
 
 def _argmax_reward(r_sums, r_counts, state, candidates):
@@ -668,7 +664,7 @@ def run_decision_scenario(
         )
         pu = np.stack([tr.states for tr in traces])
         a_bits = _AdvisoryBits(cfg, pu, _train_channel_elms(cfg, pu, rep_seed))
-        locations = neighbor_sets = None
+        locations = neighbor_lists = None
         if scenario == 2:
             locations = place_users(
                 cfg.n_su,
@@ -676,7 +672,7 @@ def run_decision_scenario(
                 cfg.comm_radius,
                 derive_seed(rep_seed, _TAG_LOCATIONS),
             )
-            neighbor_sets = [neighbors(locations, u) for u in range(cfg.n_su)]
+            neighbor_lists = [sorted(neighbors(locations, u)) for u in range(cfg.n_su)]
         for k in k_values:
             for method in ("q", "mdp", "random"):
                 res = _simulate_access(
@@ -686,8 +682,8 @@ def run_decision_scenario(
                     k,
                     env_seed=derive_seed(rep_seed, _TAG_SIM, k),
                     act_seed=derive_seed(rep_seed, _TAG_SIM, k, _METHOD_IDS[method]),
-                        locations=locations,
-                    neighbor_sets=neighbor_sets,
+                    locations=locations,
+                    neighbor_lists=neighbor_lists,
                     collect_events=collect_events,
                     a_bits=a_bits,
                 )

@@ -9,7 +9,6 @@ All training is deterministic given (data, seed).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from operator import add
 from typing import Optional, Sequence
@@ -425,83 +424,3 @@ def transition_error_fraction(predicted, actual) -> Optional[float]:
         near[max(0, t - 2):min(len(act), t + 2)] = True
     return float(np.mean(near[errors]))
 
-
-def model_to_json(model) -> str:
-    """Serialize a trained model to a canonical JSON document."""
-    if isinstance(model, ElmModel):
-        doc = {
-            "kind": "elm",
-            "input_dim": model.input_dim,
-            "hidden_count": model.hidden_count,
-            "input_weights": model.input_weights.ravel().tolist(),
-            "biases": model.biases.tolist(),
-            "output_weights": model.output_weights.tolist(),
-            "seed": model.seed,
-            "activation": model.activation,
-        }
-    elif isinstance(model, BpModel):
-        doc = {
-            "kind": "bp",
-            "input_dim": model.input_dim,
-            "hidden_count": model.hidden_count,
-            "w_hidden": model.w_hidden.ravel().tolist(),
-            "b_hidden": model.b_hidden.tolist(),
-            "w_out": model.w_out.tolist(),
-            "b_out": model.b_out,
-            "learning_rate": model.learning_rate,
-            "max_epochs": model.max_epochs,
-            "goal_mse": model.goal_mse,
-            "seed": model.seed,
-            "epochs_run": model.epochs_run,
-        }
-    elif isinstance(model, HmmModel):
-        doc = {
-            "kind": "hmm",
-            "n_states": model.n_states,
-            "pi": model.pi.tolist(),
-            "A": model.A.ravel().tolist(),
-            "B": model.B.ravel().tolist(),
-        }
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-    return json.dumps(doc, sort_keys=True)
-
-
-def model_from_json(text: str):
-    """Inverse of model_to_json; predictions survive the round trip."""
-    doc = json.loads(text)
-    kind = doc.get("kind")
-    if kind == "elm":
-        L, n = doc["hidden_count"], doc["input_dim"]
-        return ElmModel(
-            input_dim=n,
-            hidden_count=L,
-            input_weights=np.array(doc["input_weights"]).reshape(L, n),
-            biases=np.array(doc["biases"]),
-            output_weights=np.array(doc["output_weights"]),
-            seed=doc["seed"],
-            activation=doc["activation"],
-        )
-    if kind == "bp":
-        L, n = doc["hidden_count"], doc["input_dim"]
-        return BpModel(
-            input_dim=n,
-            hidden_count=L,
-            w_hidden=np.array(doc["w_hidden"]).reshape(L, n),
-            b_hidden=np.array(doc["b_hidden"]),
-            w_out=np.array(doc["w_out"]),
-            b_out=doc["b_out"],
-            learning_rate=doc["learning_rate"],
-            max_epochs=doc["max_epochs"],
-            goal_mse=doc["goal_mse"],
-            seed=doc["seed"],
-            epochs_run=doc["epochs_run"],
-        )
-    if kind == "hmm":
-        k = doc["n_states"]
-        return HmmModel(
-            pi=np.array(doc["pi"]),
-            A=np.array(doc["A"]).reshape(k, k),
-            B=np.array(doc["B"]).reshape(k, -1),
-        )
-    raise ValueError(f"unknown model kind {kind!r}")

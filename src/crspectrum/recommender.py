@@ -2,11 +2,10 @@
 
 Every resolved channel access leaves a rating: how many slots the user
 transmitted before the primary user came back (the full K when it never
-did). Channels are ranked by the mean rating over a recent time window,
+did). Channels are scored by the mean rating over a recent time window,
 optionally discounting each record by the distance between its author and
 the target user, and channels above a threshold form the recommendation
-list. A generic neighborhood rating predictor covers the mean, weighted,
-and mean-centered variants.
+list.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-import numpy as np
 
 
 def score_access(slots_transmitted: int, k: int) -> int:
@@ -94,56 +91,6 @@ class ScoreMatrix:
         return cum[j] - cum[i], j - i
 
 
-def cf_predict(
-    target: int,
-    item: int,
-    neighbors: Sequence[int],
-    ratings: np.ndarray,
-    similarities: Optional[Sequence[float]] = None,
-    mode: str = "mean",
-) -> float:
-    """Predict the target user's rating of an item from its neighbors.
-
-    ratings is users x items with NaN marking unrated cells. mean averages
-    the neighbors' ratings; weighted scales them by similarity over the
-    total absolute similarity; centered removes each neighbor's own rating
-    bias and re-anchors at the target's mean (means taken over rated items
-    only).
-    """
-    ratings = np.asarray(ratings, dtype=np.float64)
-    neighbors = list(neighbors)
-    if not neighbors:
-        raise ValueError("neighbor set is empty, rating undefined")
-    r_vi = np.array([ratings[v, item] for v in neighbors])
-    if np.any(np.isnan(r_vi)):
-        raise ValueError("a neighbor has not rated this item")
-    if mode == "mean":
-        return float(np.mean(r_vi))
-    if similarities is None:
-        raise ValueError(f"mode {mode!r} needs similarities")
-    sims = np.asarray(similarities, dtype=np.float64)
-    if sims.shape != (len(neighbors),):
-        raise ValueError("one similarity per neighbor required")
-    sim_mass = float(np.sum(np.abs(sims)))
-    if sim_mass == 0.0:
-        raise ValueError("zero similarity mass, rating undefined")
-    if mode == "weighted":
-        return float(np.sum(sims * r_vi) / sim_mass)
-    if mode == "centered":
-        means = np.array([_user_mean(ratings, v) for v in neighbors])
-        anchor = _user_mean(ratings, target)
-        return float(np.sum(sims * (r_vi - means)) / sim_mass + anchor)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _user_mean(ratings: np.ndarray, user: int) -> float:
-    row = ratings[user]
-    rated = row[~np.isnan(row)]
-    if len(rated) == 0:
-        raise ValueError(f"user {user} has no rated items, mean undefined")
-    return float(np.mean(rated))
-
-
 def final_score(
     matrix: ScoreMatrix, channel: int, now: int, window: int
 ) -> Optional[float]:
@@ -185,18 +132,6 @@ def final_score_located(
     return total / len(recs)
 
 
-@dataclass
-class RecommendationList:
-    """Channels scoring above the threshold, best first."""
-
-    entries: list  # (channel, score) tuples, descending score, ties by index
-    threshold: float
-
-    @property
-    def channels(self) -> list:
-        return [ch for ch, _ in self.entries]
-
-
 def default_threshold(scores: Sequence[Optional[float]]) -> Optional[float]:
     """Half the best defined score; None when every channel is unscored."""
     defined = [s for s in scores if s is not None]
@@ -205,20 +140,6 @@ def default_threshold(scores: Sequence[Optional[float]]) -> Optional[float]:
     return max(defined) / 2.0
 
 
-def recommend(scores: Sequence[Optional[float]], th: float) -> RecommendationList:
-    """Filter channels scoring strictly above th and sort best-first."""
-    if th is None or not math.isfinite(th):
-        raise ValueError(f"threshold must be finite, got {th}")
-    entries = [
-        (ch, float(s)) for ch, s in enumerate(scores) if s is not None and s > th
-    ]
-    entries.sort(key=lambda e: (-e[1], e[0]))
-    return RecommendationList(entries=entries, threshold=float(th))
-
-
-def score_matrix_to_csv(matrix: ScoreMatrix) -> str:
-    """Dump the access log as CSV: t,su,channel,rating."""
-    lines = ["t,su,channel,rating"]
-    for r in matrix.records:
-        lines.append(f"{r.t},{r.su},{r.channel},{r.rating}")
-    return "\n".join(lines) + "\n"
+def recommend(scores: Sequence[Optional[float]], th: float) -> set:
+    """Channels whose score is defined and strictly above th."""
+    return {ch for ch, s in enumerate(scores) if s is not None and s > th}

@@ -3,13 +3,11 @@ import pytest
 
 from crspectrum.channel import (
     ChannelParams,
-    SlotConfig,
     SuLocation,
     generate_multi,
     generate_trace,
     neighbors,
     place_users,
-    traces_to_csv,
 )
 
 
@@ -166,23 +164,3 @@ class TestNeighbors:
             assert i not in ns
             for j in ns:
                 assert i in neighbors(locs, j)
-
-
-class TestSlotConfig:
-    def test_slot_length(self):
-        cfg = SlotConfig(t_sense=1.0, t_comm=9.0)
-        assert cfg.slot_length == 10.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            SlotConfig(t_sense=0.0, t_comm=1.0)
-
-
-class TestCsvExport:
-    def test_header_and_rows(self):
-        traces = generate_multi([ChannelParams.idle()] * 2, 3, seed=0)
-        text = traces_to_csv(traces)
-        lines = text.strip().split("\n")
-        assert lines[0] == "slot,channel_0,channel_1"
-        assert lines[1] == "0,0,0"
-        assert len(lines) == 4

@@ -1,25 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crspectrum.decision import (
     DecisionQTable,
     MdpModel,
     RewardInputs,
     arbitrate,
-    decision_table_from_json,
-    decision_table_to_json,
     decode_env_state,
     encode_env_state,
-    estimate_transitions,
-    mdp_from_json,
-    mdp_to_json,
     new_decision_table,
-    normalize_transitions,
     q_update,
     random_access,
     reward,
     select_action,
-    transition_counts,
     value_iteration,
 )
 from crspectrum.seeding import make_rng
@@ -130,35 +125,6 @@ class TestQUpdate:
         assert table.values[0, 0] == pytest.approx(r / (1 - gamma), abs=1e-12)
 
 
-class TestTransitions:
-    def test_alternating_single_channel(self):
-        states = np.tile([0, 1], 100)
-        P = estimate_transitions([states])
-        assert P[0, 1] == 1.0
-        assert P[1, 0] == 1.0
-
-    def test_all_idle(self):
-        P = estimate_transitions([np.zeros(50, dtype=np.uint8)])
-        assert P[0, 0] == 1.0
-
-    def test_rows_stochastic_and_selfloop(self):
-        rng = np.random.default_rng(8)
-        traces = [rng.integers(0, 2, size=300) for _ in range(3)]
-        P = estimate_transitions(traces)
-        np.testing.assert_allclose(P.sum(axis=1), np.ones(8), atol=1e-9)
-        counts = transition_counts(
-            np.zeros(2, dtype=np.int64), n_states=4
-        )
-        P2 = normalize_transitions(counts)
-        # states 1..3 never observed: identity rows
-        for s in (1, 2, 3):
-            assert P2[s, s] == 1.0
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            estimate_transitions([np.array([0])])
-
-
 class TestValueIteration:
     def test_two_state_identity(self):
         model = MdpModel(
@@ -217,6 +183,9 @@ class TestValueIteration:
             value_iteration(model)
 
 
+_N_SU = 31
+
+
 class TestArbitrate:
     def test_single_request(self):
         assert arbitrate({4}, None, make_rng(0)) == [4]
@@ -236,6 +205,29 @@ class TestArbitrate:
             order = arbitrate(set(range(8)), None, rng)
             assert sorted(order) == list(range(8))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        requests=st.lists(st.integers(0, _N_SU - 1), max_size=40),
+        busy=st.sets(st.integers(0, _N_SU - 1), max_size=20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_match_inline_engine_code(self, requests, busy, seed):
+        rng_ref, rng = make_rng(seed), make_rng(seed)
+        want = _engine_arbitration(requests, busy, rng_ref)
+        assert arbitrate(requests, busy, rng) == want
+        assert rng.random() == rng_ref.random()
+
+
+def _engine_arbitration(requests, busy, rng):
+    # the slot engine's own code before it called arbitrate: walk the user
+    # indices in order, keep the idle requesters, and permute them only when
+    # any are left
+    asked = set(requests)
+    requesting = [u for u in range(_N_SU) if u in asked and u not in busy]
+    if requesting:
+        return [requesting[i] for i in rng.permutation(len(requesting))]
+    return []
+
 
 class TestRandomAccess:
     def test_singleton(self):
@@ -249,22 +241,3 @@ class TestRandomAccess:
         draws = np.array([random_access({0, 1}, rng) for _ in range(100000)])
         assert abs(np.mean(draws) - 0.5) < 0.01
 
-
-class TestCheckpoints:
-    def test_decision_table_round_trip(self):
-        table = new_decision_table(3, alpha=0.7, gamma=0.4, epsilon=0.05)
-        table.values[:] = np.random.default_rng(2).normal(size=table.values.shape)
-        back = decision_table_from_json(decision_table_to_json(table))
-        np.testing.assert_allclose(back.values, table.values, atol=1e-15)
-        assert back.alpha == table.alpha
-        assert back.gamma == table.gamma
-
-    def test_mdp_round_trip(self):
-        model = MdpModel(
-            transition=np.eye(2), reward=np.array([1.0, 0.0]), gamma=0.5
-        )
-        value_iteration(model)
-        back = mdp_from_json(mdp_to_json(model))
-        np.testing.assert_allclose(back.v, model.v, atol=1e-15)
-        np.testing.assert_array_equal(back.policy, model.policy)
-        np.testing.assert_allclose(back.transition, model.transition)

@@ -12,7 +12,6 @@ from crspectrum.fusion import (
     new_table,
     noisy_local_predictions,
     soft_fuse,
-    table_to_csv,
     train_fusion,
 )
 from crspectrum.seeding import make_rng
@@ -41,6 +40,27 @@ class TestEncodeState:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             encode_state([0, 2, 1])
+        with pytest.raises(ValueError):
+            encode_state([[0, 1], [1, 2]])
+
+    def test_rows_of_a_2d_array(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7, 20):
+            bits = rng.integers(0, 2, size=(50, n))
+            codes = encode_state(bits)
+            assert codes.dtype == np.int64
+            assert codes.tolist() == [encode_state(row) for row in bits]
+
+    def test_rejects_empty_input(self):
+        for bits in ([], np.zeros((0, 3)), np.zeros((3, 0))):
+            with pytest.raises(ValueError):
+                encode_state(bits)
+
+    def test_at_most_20_bits(self):
+        assert encode_state([1] * 20) == (1 << 20) - 1
+        for bits in ([0] * 21, np.zeros((2, 21), dtype=np.int64)):
+            with pytest.raises(ValueError):
+                encode_state(bits)
 
 
 class TestFusionStep:
@@ -171,6 +191,55 @@ class TestTrainFusion:
         b = train_fusion(bits, tr.states, seed=35)
         np.testing.assert_array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("seed", [40, 41])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("n_users", [1, 2, 3, 4])
+    def test_matches_inline_loop_bit_for_bit(self, n_users, epsilon, seed):
+        tr = generate_trace(ChannelParams(6.0, 4.0), 1500, seed=seed)
+        rates = [0.1, 0.3, 0.2, 0.45][:n_users]
+        bits = noisy_local_predictions(tr.states, rates, seed=seed + 100)
+        kw = dict(gamma=0.7, r_p=2.0, r_n=-0.5, epsilon=epsilon)
+        got = train_fusion(bits, tr.states, seed + 200, **kw)
+        want = _reference_train_fusion(bits, tr.states, seed + 200, **kw)
+        np.testing.assert_array_equal(
+            got.values.view(np.uint64), want.values.view(np.uint64)
+        )
+
+    def test_visit_count_learning_rates(self):
+        # one user that always reports idle, no exploration, gamma 0: both
+        # steps pick idle in state 0, learning at 1 (Q = r_p = 4) and then
+        # at 1/2 toward the mismatch reward (Q = 4 + (2 - 4) / 2 = 3)
+        bits = np.zeros((3, 1), dtype=np.int64)
+        table = train_fusion(
+            bits, [0, 1, 0], seed=0, gamma=0.0, r_p=4.0, r_n=2.0, epsilon=0.0
+        )
+        assert table.values.tolist() == [[3.0, 0.0], [0.0, 0.0]]
+
+
+def _reference_train_fusion(local_bits, actual, seed, gamma, r_p, r_n, epsilon):
+    # train_fusion's own loop before it shared the fusion step
+    local_bits = np.asarray(local_bits, dtype=np.int64)
+    actual = np.asarray(actual, dtype=np.int64)
+    T, n_users = local_bits.shape
+    table = new_table(n_users, gamma=gamma, r_p=r_p, r_n=r_n, epsilon=epsilon)
+    rng = make_rng(seed)
+    codes = local_bits @ (1 << np.arange(n_users, dtype=np.int64))
+    visits = np.zeros((table.n_states, 2), dtype=np.int64)
+    half = (T - 1) / 2.0
+    for t in range(T - 1):
+        eps_t = epsilon * max(0.0, 1.0 - t / half)
+        s, s_next = int(codes[t]), int(codes[t + 1])
+        if eps_t > 0 and rng.random() < eps_t:
+            action = int(rng.integers(0, 2))
+        else:
+            action = int(np.argmax(table.values[s]))
+        visits[s, action] += 1
+        lr = 1.0 / visits[s, action]
+        r = r_p if action == actual[t] else r_n
+        target = r + gamma * float(np.max(table.values[s_next]))
+        table.values[s, action] += lr * (target - table.values[s, action])
+    return table
+
 
 class TestNoisyLocalPredictions:
     def test_error_rates_realized(self):
@@ -186,17 +255,3 @@ class TestNoisyLocalPredictions:
         bits = noisy_local_predictions(tr.states, [0.0], seed=39)
         np.testing.assert_array_equal(bits[:, 0], tr.states)
 
-
-class TestTableCsv:
-    def test_round_trip_values(self):
-        table = new_table(2)
-        table.values[:] = [[0.5, -1.25], [2.0, 0.0], [1e-9, 3.5], [0.1, 0.2]]
-        text = table_to_csv(table)
-        lines = text.strip().split("\n")
-        assert lines[0] == "state,q_idle,q_busy"
-        assert len(lines) == 5
-        for s, line in enumerate(lines[1:]):
-            code, q0, q1 = line.split(",")
-            assert int(code) == s
-            assert float(q0) == table.values[s, 0]
-            assert float(q1) == table.values[s, 1]

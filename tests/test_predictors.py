@@ -21,8 +21,6 @@ from crspectrum.predictors import (
     hmm_predict,
     HmmModel,
     make_training_set,
-    model_from_json,
-    model_to_json,
     pinv_solve,
     threshold,
     transition_error_fraction,
@@ -558,35 +556,3 @@ class TestTransitionErrorFraction:
         actual = [0, 0, 0, 0, 0, 0, 0, 1]
         pred = [1, 0, 0, 0, 0, 0, 0, 1]  # error 6 slots before the flip
         assert transition_error_fraction(pred, actual) == 0.0
-
-
-class TestJsonRoundTrip:
-    def test_elm(self):
-        tr = generate_trace(ChannelParams(10.0, 10.0), 400, seed=8)
-        data = make_training_set(tr, 10)
-        model = elm_train(data, 20, seed=1)
-        back = model_from_json(model_to_json(model))
-        a = elm_predict_many(model, data.inputs[:50])
-        b = elm_predict_many(back, data.inputs[:50])
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_bp(self):
-        tr = generate_trace(ChannelParams(10.0, 10.0), 300, seed=9)
-        data = make_training_set(tr, 10)
-        model = bp_train(data, hidden_count=6, max_epochs=10, seed=4)
-        back = model_from_json(model_to_json(model))
-        a = bp_predict_many(model, data.inputs[:50])
-        b = bp_predict_many(back, data.inputs[:50])
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_hmm(self):
-        tr = generate_trace(ChannelParams(5.0, 5.0), 2000, seed=10)
-        model = hmm_fit(tr)
-        back = model_from_json(model_to_json(model))
-        obs = list(tr.states[:30])
-        assert hmm_predict(model, obs) == hmm_predict(back, obs)
-
-    def test_canonical_key_order(self):
-        tr = generate_trace(ChannelParams(5.0, 5.0), 200, seed=3)
-        model = hmm_fit(tr)
-        assert model_to_json(model) == model_to_json(model)

@@ -9,13 +9,11 @@ from crspectrum.channel import SuLocation
 from crspectrum.recommender import (
     AccessRecord,
     ScoreMatrix,
-    cf_predict,
     default_threshold,
     final_score,
     final_score_located,
     recommend,
     score_access,
-    score_matrix_to_csv,
 )
 
 
@@ -66,50 +64,6 @@ class TestScoreMatrix:
     def test_negative_rating_rejected(self):
         with pytest.raises(ValueError):
             AccessRecord(su=0, channel=0, t=0, rating=-1)
-
-
-class TestCfPredict:
-    def test_mean(self):
-        ratings = np.array([[np.nan, np.nan], [2.0, 1.0], [4.0, 1.0]])
-        assert cf_predict(0, 0, [1, 2], ratings, mode="mean") == 3.0
-
-    def test_weighted_equal_sims_reduces_to_mean(self):
-        ratings = np.array([[np.nan], [2.0], [4.0]])
-        got = cf_predict(0, 0, [1, 2], ratings, similarities=[1.0, 1.0], mode="weighted")
-        assert got == 3.0
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            n = int(rng.integers(1, 6))
-            r = rng.uniform(0, 5, size=(n + 1, 3))
-            sims = [0.7] * n
-            w = cf_predict(0, 1, list(range(1, n + 1)), r, similarities=sims, mode="weighted")
-            m = cf_predict(0, 1, list(range(1, n + 1)), r, mode="mean")
-            assert w == pytest.approx(m, abs=1e-12)
-
-    def test_centered_hand_case(self):
-        # neighbor rated item 5 with personal mean 4; target mean 2 -> 3
-        ratings = np.array(
-            [
-                [2.0, 2.0, np.nan],
-                [5.0, 4.0, 3.0],
-            ]
-        )
-        got = cf_predict(0, 0, [1], ratings, similarities=[1.0], mode="centered")
-        assert got == pytest.approx(3.0, abs=1e-12)
-
-    def test_empty_neighbors(self):
-        with pytest.raises(ValueError):
-            cf_predict(0, 0, [], np.zeros((2, 2)), mode="mean")
-
-    def test_zero_similarity_mass(self):
-        ratings = np.array([[1.0], [2.0]])
-        with pytest.raises(ValueError):
-            cf_predict(0, 0, [1], ratings, similarities=[0.0], mode="weighted")
-
-    def test_unrated_neighbor(self):
-        ratings = np.array([[1.0], [np.nan]])
-        with pytest.raises(ValueError):
-            cf_predict(0, 0, [1], ratings, mode="mean")
 
 
 def _matrix_with(ratings_at):
@@ -233,30 +187,14 @@ class TestWindowQueriesMatchBruteForce:
 
 
 class TestRecommend:
-    def test_filter_and_sort(self):
-        lst = recommend([4.0, 1.0, 3.0], th=2.0)
-        assert lst.channels == [0, 2]
-        assert lst.entries == [(0, 4.0), (2, 3.0)]
-
     def test_all_undefined(self):
-        lst = recommend([None, None], th=0.0)
-        assert lst.entries == []
-
-    def test_tie_breaks_by_index(self):
-        lst = recommend([4.0, 4.0], th=1.0)
-        assert lst.channels == [0, 1]
+        assert recommend([None, None], th=0.0) == set()
 
     def test_strictly_above_threshold(self):
-        lst = recommend([2.0, 3.0], th=2.0)
-        assert lst.channels == [1]
+        assert recommend([2.0, 3.0], th=2.0) == {1}
+        assert recommend([4.0, 1.0, 3.0], th=2.0) == {0, 2}
+        assert recommend([4.0, None, 3.0, 0.0], th=-1.0) == {0, 2, 3}
 
     def test_default_threshold(self):
         assert default_threshold([4.0, None, 6.0]) == 3.0
         assert default_threshold([None, None]) is None
-
-
-class TestCsvExport:
-    def test_format(self):
-        m = _matrix_with([(1, 0, 0, 3), (2, 1, 1, 0)])
-        text = score_matrix_to_csv(m)
-        assert text == "t,su,channel,rating\n1,0,0,3\n2,1,1,0\n"
