@@ -89,6 +89,21 @@ def new_decision_table(
     )
 
 
+def _sorted_distinct(candidates: Iterable[int]) -> list:
+    """The candidates as a list of distinct values in increasing order.
+
+    A list that already is one, as the slot engine builds its candidate
+    lists, is returned as it is rather than copied and sorted again.
+    """
+    if type(candidates) is list:
+        for i in range(1, len(candidates)):
+            if candidates[i - 1] >= candidates[i]:
+                break
+        else:
+            return candidates
+    return sorted(set(candidates))
+
+
 def select_action(
     table: DecisionQTable,
     state: int,
@@ -102,14 +117,14 @@ def select_action(
     """
     if not 0 <= state < table.n_states:
         raise ValueError(f"state {state} out of range")
-    cands = sorted(set(candidates))
+    cands = _sorted_distinct(candidates)
     if not cands:
         return None
-    if any(not 0 <= a < table.n_actions for a in cands):
+    if cands[0] < 0 or cands[-1] >= table.n_actions:
         raise ValueError("candidate channel out of range")
     if epsilon > 0 and rng.random() < epsilon:
         return int(cands[int(rng.integers(0, len(cands)))])
-    row = table.values[state]
+    row = table.values[state].tolist()
     best, best_q = cands[0], row[cands[0]]
     for a in cands[1:]:
         if row[a] > best_q:
@@ -125,7 +140,7 @@ def q_update(
         raise ValueError("state out of range")
     if not 0 <= a < table.n_actions:
         raise ValueError(f"action {a} out of range")
-    target = r + table.gamma * float(np.max(table.values[s_next]))
+    target = r + table.gamma * max(table.values[s_next].tolist())
     table.values[s, a] += table.alpha * (target - table.values[s, a])
     return table
 
@@ -200,7 +215,7 @@ def random_access(
     candidates: Iterable[int], rng: np.random.Generator
 ) -> Optional[int]:
     """Uniform channel choice among the candidates; None when empty."""
-    cands = sorted(set(candidates))
+    cands = _sorted_distinct(candidates)
     if not cands:
         return None
     return int(cands[int(rng.integers(0, len(cands)))])

@@ -13,6 +13,7 @@ emitted JSON/CSV so identical runs serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -350,7 +351,7 @@ def _simulate_access(
     env_seed: int,
     act_seed: int,
     a_bits: Optional[_AdvisoryBits] = None,
-    locations=None,
+    weights=None,
     neighbor_lists=None,
     collect_events: bool = False,
     audit: Optional[list] = None,
@@ -360,32 +361,49 @@ def _simulate_access(
     pu is the M x T occupancy matrix. env_seed drives the request and
     arbitration streams (shared across methods so policies face identical
     demand); act_seed drives the agent's own randomness. Returns the
-    metric counts, the score matrix, and (optionally) per-decision events.
+    metric counts and, with collect_events, the per-decision events.
     Accesses granted during the warm-up phase train the agents and seed
     the score matrix but are excluded from the metric counts. a_bits
-    gives advisory bit A; without it A is persistence. With locations
-    (decision-2), neighbor_lists[u] holds u's partners in increasing
-    index order and a request takes the first one not busy.
+    gives advisory bit A; without it A is persistence. With weights
+    (decision-2), weights[u][v] discounts v's ratings for user u,
+    neighbor_lists[u] holds u's partners in increasing index order, and
+    a request takes the first one not busy. audit, when given, gets one
+    entry per slot: the PU-busy, held and free channel counts, each
+    channel's holder and each user's receiving partner (-1 for none).
+
+    Each policy reads part of the engine's state, and only that part is
+    kept: q learns its Q table and mdp its per-(state, channel) reward
+    sums from a reward built on bits A and B, where B reads the score
+    matrix; cf reads the score matrix alone; random reads none of it.
+    Events report A, B and the reward, so collecting them computes those
+    for every policy.
     """
     m_ch, n_slots = pu.shape
+    n_su, request_prob = cfg.n_su, cfg.request_prob
     pu_list = pu.tolist()
-    codes = encode_state(pu.T).tolist()
+    rewarded = method in ("q", "mdp") or collect_events
+    keeps_matrix = rewarded or method == "cf"
+    codes = encode_state(pu.T).tolist() if rewarded else None
 
     rng_req = make_rng(env_seed, 0)
     rng_arb = make_rng(env_seed, 1)
     rng_act = make_rng(act_seed, 2)
 
-    table = new_decision_table(
-        m_ch, alpha=cfg.alpha, gamma=cfg.gamma, epsilon=cfg.epsilon
-    )
-    r_sums = np.zeros((1 << m_ch, m_ch))
-    r_counts = np.zeros((1 << m_ch, m_ch), dtype=np.int64)
+    if method == "q":
+        table = new_decision_table(
+            m_ch, alpha=cfg.alpha, gamma=cfg.gamma, epsilon=cfg.epsilon
+        )
+    elif method == "mdp":
+        r_sums = [[0.0] * m_ch for _ in range(1 << m_ch)]
+        r_counts = [[0] * m_ch for _ in range(1 << m_ch)]
 
-    matrix = ScoreMatrix(n_su=cfg.n_su, m_ch=m_ch)
-    holds = {}          # su -> dict(channel, t0, a, b, state)
-    holder = [-1] * m_ch
-    partner_of = {}     # receiving su -> transmitting su (scenario 2)
-    paired = {}         # transmitting su -> receiving su
+    matrix = ScoreMatrix(n_su=n_su, m_ch=m_ch)
+    holder = [-1] * m_ch   # channel -> su holding it
+    # per su: start slot and bit B of the hold it runs
+    hold_t0 = [0] * n_su
+    hold_b = [0] * n_su
+    partner = [-1] * n_su  # transmitting su -> receiving su (decision-2)
+    busy = [False] * n_su  # holds a channel or receives for a holder
 
     n_total = n_collision = d_success = 0
     events = [] if collect_events else None
@@ -394,20 +412,27 @@ def _simulate_access(
         a_bits = _AdvisoryBits(cfg, pu)
     shared_t, shared = -1, None  # slot and value of the last shared listing
 
-    def resolve(su, hold, t, collision):
+    def resolve(su, channel, t, collision):
         nonlocal n_total, n_collision, d_success
-        rating = score_access(t - hold["t0"] if collision else k, k)
-        holder[hold["channel"]] = -1
-        if su in paired:
-            partner_of.pop(paired.pop(su), None)
-        matrix.append(
-            AccessRecord(su=su, channel=hold["channel"], t=t, rating=rating)
-        )
-        r = reward(RewardInputs(collision=collision, a=hold["a"], b=hold["b"]))
-        q_update(table, hold["state"], hold["channel"], r, codes[t] if t < n_slots else hold["state"])
-        r_sums[hold["state"], hold["channel"]] += r
-        r_counts[hold["state"], hold["channel"]] += 1
-        if hold["t0"] >= cfg.warmup_slots:
+        t0 = hold_t0[su]
+        rating = score_access(t - t0 if collision else k, k)
+        holder[channel] = -1
+        busy[su] = False
+        if partner[su] >= 0:
+            busy[partner[su]] = False
+            partner[su] = -1
+        if keeps_matrix:
+            matrix.append(AccessRecord(su=su, channel=channel, t=t, rating=rating))
+        if rewarded:
+            state, a = codes[t0], a_bits(channel, t0)
+            r = reward(RewardInputs(collision=collision, a=a, b=hold_b[su]))
+            if method == "q":
+                q_update(table, state, channel, r, codes[t] if t < n_slots else state)
+            elif method == "mdp":
+                r_sums[state][channel] += r
+                r_counts[state][channel] += 1
+        counted = t0 >= cfg.warmup_slots
+        if counted:
             n_total += 1
             if collision:
                 n_collision += 1
@@ -417,15 +442,15 @@ def _simulate_access(
             events.append(
                 {
                     "slot": t,
-                    "t0": hold["t0"],
+                    "t0": t0,
                     "su": su,
-                    "state": hold["state"],
-                    "action": hold["channel"],
-                    "A": hold["a"],
-                    "B": hold["b"],
+                    "state": state,
+                    "action": channel,
+                    "A": a,
+                    "B": hold_b[su],
                     "reward": r,
                     "collision": bool(collision),
-                    "counted": hold["t0"] >= cfg.warmup_slots,
+                    "counted": counted,
                 }
             )
 
@@ -433,13 +458,12 @@ def _simulate_access(
         # the recommendation su sees at slot t: channel scores and the
         # listed channels, built on first use. The matrix only changes when
         # holds resolve at the top of a slot, so this equals a listing built
-        # at the start of the slot; without locations it is shared by all.
+        # at the start of the slot; without weights it is shared by all.
         nonlocal shared_t, shared
-        if locations is not None:
+        if weights is not None:
+            row = weights[su]
             scores = [
-                final_score_located(
-                    matrix, ch, su, locations, now=t, window=cfg.score_window
-                )
+                final_score_located(matrix, ch, row, now=t, window=cfg.score_window)
                 for ch in range(m_ch)
             ]
             return scores, recommend(scores, _threshold_of(cfg, scores))
@@ -453,63 +477,55 @@ def _simulate_access(
         return shared
 
     for t in range(n_slots):
-        # resolve running holds before anything else this slot
-        for su in sorted(holds):
-            hold = holds[su]
-            if t >= hold["t0"] + k:
-                del holds[su]
-                resolve(su, hold, t, collision=False)
-            elif pu_list[hold["channel"]][t] == 1:
-                del holds[su]
-                resolve(su, hold, t, collision=True)
+        # resolve running holds before anything else this slot, in user order
+        ending = sorted(
+            (su, c)
+            for c, su in enumerate(holder)
+            if su >= 0 and (t >= hold_t0[su] + k or pu_list[c][t] == 1)
+        )
+        for su, c in ending:
+            resolve(su, c, t, collision=t < hold_t0[su] + k)
 
-        state = codes[t]
-
-        # who requests: by coin flip or in periodic bursts; arbitration
-        # drops the users already busy
-        busy = set(holds) | set(partner_of)
+        # who requests: by coin flip or in periodic bursts; busy users
+        # never do
         if cfg.burst_requests:
-            requesting = range(cfg.n_su) if t % cfg.t == 0 else ()
+            requesting = (
+                [u for u in range(n_su) if not busy[u]] if t % cfg.t == 0 else ()
+            )
         else:
-            draws = rng_req.random(cfg.n_su).tolist()
-            requesting = [u for u in range(cfg.n_su) if draws[u] < cfg.request_prob]
-        order = arbitrate(requesting, busy, rng_arb)
-        if not order:
-            if audit is not None:
-                _append_audit(audit, t, pu_list, holder, m_ch)
-            continue
-
-        granted_this_slot = set()
+            draws = rng_req.random(n_su).tolist()
+            requesting = [
+                u for u, d in enumerate(draws) if d < request_prob and not busy[u]
+            ]
+        order = arbitrate(requesting, None, rng_arb)
+        # idle, unheld channels, in increasing order; grants must fit the
+        # horizon
+        candidates = (
+            [c for c in range(m_ch) if pu_list[c][t] == 0 and holder[c] < 0]
+            if order and t + k <= n_slots
+            else []
+        )
         warmup = t < cfg.warmup_slots
         for su in order:
-            if su in busy:
-                continue  # claimed as a partner earlier this slot
-            if locations is not None:
-                # pairwise link: without a free neighbor the request dies
-                partner = None
-                for v in neighbor_lists[su]:
-                    if v not in busy:
-                        partner = v
-                        break
-                if partner is None:
-                    continue
-            candidates = [
-                c
-                for c in range(m_ch)
-                if pu_list[c][t] == 0
-                and holder[c] < 0
-                and c not in granted_this_slot
-                and t + k <= n_slots
-            ]
             if not candidates:
-                continue
+                break
+            if busy[su]:
+                continue  # claimed as a partner earlier this slot
+            if weights is not None:
+                # pairwise link to v, the first free neighbor; without one
+                # the request dies
+                for v in neighbor_lists[su]:
+                    if not busy[v]:
+                        break
+                else:
+                    continue
             if warmup or method == "random":
                 channel = random_access(candidates, rng_act)
             elif method == "q":
                 eps_t = cfg.epsilon * max(0.0, 1.0 - t / half_horizon)
-                channel = select_action(table, state, candidates, eps_t, rng_act)
+                channel = select_action(table, codes[t], candidates, eps_t, rng_act)
             elif method == "mdp":
-                channel = _argmax_reward(r_sums, r_counts, state, candidates)
+                channel = _argmax_reward(r_sums, r_counts, codes[t], candidates)
             elif method == "cf":
                 scores, recommended = listing(su, t)
                 listed = [c for c in candidates if c in recommended]
@@ -519,49 +535,47 @@ def _simulate_access(
                     channel = random_access(candidates, rng_act)
             else:
                 raise ValueError(f"unknown access method {method!r}")
-            if channel is None:
-                continue
-            # bit B: scores only feed it (and cf), so requests that get no
-            # channel are never scored
-            _, recommended = listing(su, t)
-            granted_this_slot.add(channel)
+            candidates = [c for c in candidates if c != channel]
             holder[channel] = su
-            holds[su] = {
-                "channel": channel,
-                "t0": t,
-                "a": a_bits(channel, t),
-                "b": 1 if channel in recommended else 0,
-                "state": state,
-            }
-            if locations is not None:
-                paired[su] = partner
-                partner_of[partner] = su
-                busy.add(partner)
-            busy.add(su)
+            hold_t0[su] = t
+            if rewarded:
+                # bit B: scores only feed it (and cf), so requests that get
+                # no channel are never scored
+                _, recommended = listing(su, t)
+                hold_b[su] = 1 if channel in recommended else 0
+            busy[su] = True
+            if weights is not None:
+                partner[su] = v
+                busy[v] = True
         if audit is not None:
-            _append_audit(audit, t, pu_list, holder, m_ch)
+            _append_audit(audit, t, pu_list, holder, partner, m_ch)
 
     # flush holds that run past the horizon: grants are fitted to the
     # horizon, so anything still alive completed its K slots cleanly
-    for su in sorted(holds):
-        resolve(su, holds[su], n_slots, collision=False)
+    for su, c in sorted((su, c) for c, su in enumerate(holder) if su >= 0):
+        resolve(su, c, n_slots, collision=False)
 
     return {
         "n_total": n_total,
         "n_collision": n_collision,
         "d_success": d_success,
-        "score_matrix": matrix,
-        "q_table": table,
-        "r_sums": r_sums,
-        "r_counts": r_counts,
         "events": events,
     }
 
 
-def _append_audit(audit, t, pu_list, holder, m_ch):
+def _append_audit(audit, t, pu_list, holder, partner, m_ch):
     pu_busy = sum(pu_list[c][t] for c in range(m_ch))
     held = sum(1 for c in range(m_ch) if holder[c] >= 0)
-    audit.append({"slot": t, "pu_busy": pu_busy, "held": held, "free": m_ch - pu_busy - held})
+    audit.append(
+        {
+            "slot": t,
+            "pu_busy": pu_busy,
+            "held": held,
+            "free": m_ch - pu_busy - held,
+            "holder": list(holder),
+            "partner": list(partner),
+        }
+    )
 
 
 def _threshold_of(cfg: SimConfig, scores):
@@ -574,11 +588,13 @@ def _threshold_of(cfg: SimConfig, scores):
 def _argmax_reward(r_sums, r_counts, state, candidates):
     # empirical mean reward per action; channel evolution ignores actions,
     # so the continuation term is action-independent and greedy-on-R is the
-    # value-iteration-greedy choice
-    best, best_r = None, -np.inf
-    for c in sorted(candidates):
-        n = r_counts[state, c]
-        mean_r = (r_sums[state, c] / n) if n > 0 else 0.0
+    # value-iteration-greedy choice. candidates are in increasing order, so
+    # ties go to the lowest channel.
+    sums, counts = r_sums[state], r_counts[state]
+    best, best_r = None, -math.inf
+    for c in candidates:
+        n = counts[c]
+        mean_r = sums[c] / n if n > 0 else 0.0
         if mean_r > best_r:
             best, best_r = c, mean_r
     return best
@@ -664,7 +680,7 @@ def run_decision_scenario(
         )
         pu = np.stack([tr.states for tr in traces])
         a_bits = _AdvisoryBits(cfg, pu, _train_channel_elms(cfg, pu, rep_seed))
-        locations = neighbor_lists = None
+        weights = neighbor_lists = None
         if scenario == 2:
             locations = place_users(
                 cfg.n_su,
@@ -673,6 +689,10 @@ def run_decision_scenario(
                 derive_seed(rep_seed, _TAG_LOCATIONS),
             )
             neighbor_lists = [sorted(neighbors(locations, u)) for u in range(cfg.n_su)]
+            # distance discount of v's ratings for u, fixed for the repetition
+            weights = [
+                [math.exp(-u.distance_to(v)) for v in locations] for u in locations
+            ]
         for k in k_values:
             for method in ("q", "mdp", "random"):
                 res = _simulate_access(
@@ -682,7 +702,7 @@ def run_decision_scenario(
                     k,
                     env_seed=derive_seed(rep_seed, _TAG_SIM, k),
                     act_seed=derive_seed(rep_seed, _TAG_SIM, k, _METHOD_IDS[method]),
-                    locations=locations,
+                    weights=weights,
                     neighbor_lists=neighbor_lists,
                     collect_events=collect_events,
                     a_bits=a_bits,

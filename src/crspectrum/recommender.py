@@ -11,7 +11,6 @@ list.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -109,26 +108,23 @@ def final_score(
 def final_score_located(
     matrix: ScoreMatrix,
     channel: int,
-    target: int,
-    locations: Sequence,
+    weights: Sequence[float],
     now: int,
     window: int,
 ) -> Optional[float]:
     """Distance-weighted mean rating: each record counts rating * e^(-d).
 
-    d is the Euclidean distance from the record's author to the target
-    user, so far-away experience contributes almost nothing.
+    weights[u] is e^(-d) for the Euclidean distance d from user u to the
+    target user, so far-away experience contributes almost nothing.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     recs = matrix.window_records(channel, now, window)
     if not recs:
         return None
-    me = locations[target]
     total = 0.0
     for r in recs:
-        d = me.distance_to(locations[r.su])
-        total += r.rating * math.exp(-d)
+        total += r.rating * weights[r.su]
     return total / len(recs)
 
 

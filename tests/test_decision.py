@@ -7,6 +7,7 @@ from crspectrum.decision import (
     DecisionQTable,
     MdpModel,
     RewardInputs,
+    _sorted_distinct,
     arbitrate,
     decode_env_state,
     encode_env_state,
@@ -241,3 +242,39 @@ class TestRandomAccess:
         draws = np.array([random_access({0, 1}, rng) for _ in range(100000)])
         assert abs(np.mean(draws) - 0.5) < 0.01
 
+
+
+class TestCandidateContract:
+    """Any iterable of candidates, in any order and with repeats, chooses
+    and draws as its sorted distinct list does; such a list is used as is."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cands=st.lists(st.integers(0, 5), max_size=10),
+        form=st.sampled_from([list, tuple, set, iter]),
+        epsilon=st.sampled_from([0.0, 0.5, 1.0]),
+        q=st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sorted_distinct(self, cands, form, epsilon, q, seed):
+        table = new_decision_table(6)
+        table.values[2] = q
+        canonical = sorted(set(cands))
+        rng_ref, rng = make_rng(seed), make_rng(seed)
+        want = select_action(table, 2, canonical, epsilon, rng_ref)
+        assert select_action(table, 2, form(cands), epsilon, rng) == want
+        want = random_access(canonical, rng_ref)
+        assert random_access(form(cands), rng) == want
+        assert rng.random() == rng_ref.random()
+
+    def test_sorted_distinct_list_used_as_is(self):
+        cands = [0, 2, 5]
+        assert _sorted_distinct(cands) is cands
+        assert _sorted_distinct([2, 0, 2, 5]) == cands
+        assert _sorted_distinct((0, 2, 5)) == cands
+
+    def test_out_of_range_rejected_in_any_order(self):
+        table = new_decision_table(3)
+        for cands in ([1, 3], [3, 1], [-1, 2], [2, -1, 2]):
+            with pytest.raises(ValueError):
+                select_action(table, 0, cands, 0.0, make_rng(0))

@@ -1,10 +1,14 @@
 import json
+import math
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crspectrum.channel import neighbors, place_users
 from crspectrum.config import default_config
 from crspectrum.harness import (
     DecisionMetrics,
@@ -138,6 +142,130 @@ class TestEngineInvariants:
         )
         for ev in res["events"]:
             assert ev["t0"] + 7 <= 120
+
+
+@st.composite
+def engine_cases(draw):
+    """A small random run of one method in either decision scenario."""
+    n_su = draw(st.integers(2, 8))
+    m_ch = draw(st.integers(1, 5))
+    n_slots = draw(st.integers(1, 60))
+    burst = draw(st.booleans())
+    cfg = replace(
+        default_config("decision-1"),
+        n_su=n_su,
+        n_channels=m_ch,
+        n_slots=n_slots,
+        request_prob=draw(st.sampled_from([0.05, 0.3, 1.0])),
+        burst_requests=burst,
+        t=draw(st.integers(1, 4)),
+        warmup_slots=draw(st.integers(0, n_slots)),
+        epsilon=draw(st.sampled_from([0.0, 0.3])),
+        score_window=draw(st.integers(1, 20)),
+        th_mode=draw(st.sampled_from(["half_max", "fixed"])),
+        th_value=1.0,
+    )
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    pu = (rng.random((m_ch, n_slots)) < draw(st.sampled_from([0.0, 0.3, 0.7])))
+    located = draw(st.booleans())
+    weights = neighbor_lists = None
+    if located:
+        locs = place_users(n_su, draw(st.sampled_from([4.0, 15.0])), 5.0, seed)
+        neighbor_lists = [sorted(neighbors(locs, u)) for u in range(n_su)]
+        weights = [[math.exp(-u.distance_to(v)) for v in locs] for u in locs]
+    return dict(
+        cfg=cfg,
+        pu=pu.astype(np.int64),
+        method=draw(st.sampled_from(["q", "mdp", "random", "cf"])),
+        k=draw(st.integers(1, 5)),
+        env_seed=seed + 1,
+        act_seed=seed + 2,
+        weights=weights,
+        neighbor_lists=neighbor_lists,
+    )
+
+
+class TestEngineProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(engine_cases())
+    def test_invariants(self, case):
+        cfg, pu, k = case["cfg"], case["pu"], case["k"]
+        neighbor_lists = case["neighbor_lists"]
+        m_ch, n_slots = pu.shape
+        audit = []
+        res = _simulate_access(**case, collect_events=True, audit=audit)
+        events = res["events"]
+
+        # at the end of every slot: each held channel is PU-idle, a user
+        # holds at most one channel, and in decision-2 every holder has its
+        # own partner, a free neighbor
+        assert [entry["slot"] for entry in audit] == list(range(n_slots))
+        for entry in audit:
+            t, holder, partner = entry["slot"], entry["holder"], entry["partner"]
+            holders = [su for su in holder if su >= 0]
+            assert len(set(holders)) == len(holders)
+            assert all(pu[c, t] == 0 for c, su in enumerate(holder) if su >= 0)
+            receivers = [v for v in partner if v >= 0]
+            if neighbor_lists is None:
+                assert not receivers
+                continue
+            assert len(set(receivers)) == len(receivers)
+            assert not set(receivers) & set(holders)
+            for su, v in enumerate(partner):
+                assert (v >= 0) == (su in holders)
+                assert v < 0 or v in neighbor_lists[su]
+
+        # every hold starts on an idle channel, ends at the PU's first
+        # return or after K slots, and never overlaps another hold of its
+        # channel or its user
+        for ev in events:
+            c, t0, end = ev["action"], ev["t0"], ev["slot"]
+            assert t0 + k <= n_slots
+            assert not pu[c, t0:end].any()
+            if ev["collision"]:
+                assert t0 < end < t0 + k and pu[c, end] == 1
+            else:
+                assert end == t0 + k
+        for field in ("action", "su"):
+            spans = {}
+            for ev in events:
+                spans.setdefault(ev[field], []).append((ev["t0"], ev["slot"]))
+            for intervals in spans.values():
+                intervals.sort()
+                for (_, end), (start, _) in zip(intervals, intervals[1:]):
+                    assert start >= end
+
+        # only accesses granted after the warm-up count, and each counted
+        # access is a collision or a success
+        for ev in events:
+            assert ev["counted"] == (ev["t0"] >= cfg.warmup_slots)
+        counted = [ev for ev in events if ev["counted"]]
+        assert res["n_total"] == len(counted)
+        assert res["n_collision"] == sum(ev["collision"] for ev in counted)
+        assert res["n_collision"] + res["d_success"] == res["n_total"]
+
+
+class TestEventsOff:
+    """Without events the engine skips what the policy does not read."""
+
+    @pytest.mark.parametrize(
+        "scenario, overrides",
+        [
+            ("recommendation", dict(n_slots=300, reps=2)),
+            ("decision-1", dict(n_slots=300, k_max=5, reps=1, warmup_slots=60)),
+            ("decision-2", dict(n_slots=300, k_max=5, reps=1, warmup_slots=60)),
+            (
+                "decision-1",
+                dict(n_su=6, n_slots=300, k_max=4, t=4, reps=1, warmup_slots=60,
+                     burst_requests=True),
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_equal_with_and_without_events(self, scenario, overrides, seed):
+        cfg = replace(default_config(scenario), seed=seed, **overrides)
+        assert run_scenario(cfg, collect_events=True).rows == run_scenario(cfg).rows
 
 
 class TestDegenerateTraces:

@@ -94,23 +94,28 @@ class TestFinalScore:
         assert final_score(m, 0, now=10, window=10) == 4.0
 
 
+def _weights_for(locs, target):
+    """The target's row of distance weights, as the harness builds it."""
+    return [math.exp(-locs[target].distance_to(other)) for other in locs]
+
+
 class TestFinalScoreLocated:
     def test_zero_distance_matches_plain(self):
         m = _matrix_with([(1, 0, 0, 4)])
         locs = [SuLocation(3.0, 3.0, 5.0), SuLocation(3.0, 3.0, 5.0)]
-        got = final_score_located(m, 0, target=1, locations=locs, now=2, window=5)
+        got = final_score_located(m, 0, _weights_for(locs, 1), now=2, window=5)
         assert got == pytest.approx(4.0, abs=1e-12)
 
     def test_log_two_distance_halves(self):
         m = _matrix_with([(1, 0, 0, 4)])
         locs = [SuLocation(0.0, 0.0, 5.0), SuLocation(math.log(2), 0.0, 5.0)]
-        got = final_score_located(m, 0, target=1, locations=locs, now=2, window=5)
+        got = final_score_located(m, 0, _weights_for(locs, 1), now=2, window=5)
         assert got == pytest.approx(2.0, abs=1e-12)
 
     def test_far_records_vanish(self):
         m = _matrix_with([(1, 0, 0, 5)])
         locs = [SuLocation(0.0, 0.0, 5.0), SuLocation(60.0, 0.0, 5.0)]
-        got = final_score_located(m, 0, target=1, locations=locs, now=2, window=5)
+        got = final_score_located(m, 0, _weights_for(locs, 1), now=2, window=5)
         assert 0.0 < got < 1e-20
 
     def test_never_exceeds_plain_score(self):
@@ -127,7 +132,9 @@ class TestFinalScoreLocated:
                 for x, y in rng.uniform(0, 10, size=(4, 2))
             ]
             plain = final_score(m, 0, now=11, window=20)
-            located = final_score_located(m, 0, 3, locs, now=11, window=20)
+            located = final_score_located(
+                m, 0, _weights_for(locs, 3), now=11, window=20
+            )
             if plain is None:
                 assert located is None
             else:
@@ -170,12 +177,13 @@ class TestWindowQueriesMatchBruteForce:
             m.append(AccessRecord(su=su, channel=ch, t=t, rating=rating))
         rebuilt = ScoreMatrix(n_su=N_SU, m_ch=M_CH, records=list(m.records))
         locs = [SuLocation(x, y, 5.0) for x, y in xy]
+        row = _weights_for(locs, 0)
         for ch, now, window in asked:
             want = [r for r in m.records if r.channel == ch and now - window <= r.t < now]
             assert m.window_records(ch, now, window) == want
             assert rebuilt.window_total(ch, now, window) == m.window_total(ch, now, window)
             plain = final_score(m, ch, now=now, window=window)
-            located = final_score_located(m, ch, 0, locs, now=now, window=window)
+            located = final_score_located(m, ch, row, now=now, window=window)
             if not want:
                 assert plain is None and located is None
                 continue
