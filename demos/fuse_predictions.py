@@ -39,12 +39,12 @@ def main():
 
     accuracies = {}
     for m in (1, 2, 3):
-        fused = np.array([m_out_of_n(b, m) for b in bits])
+        fused = m_out_of_n(bits, m)
         accuracies[f"{m}-out-of-3 vote"] = float(np.mean(fused == states))
 
     # soft combining weighs each vote by how believable that user is
     p_busy = np.where(bits == 1, 1.0 - rates, rates)
-    soft = np.array([soft_fuse(1.0 - p, p) for p in p_busy])
+    soft = soft_fuse(1.0 - p_busy, p_busy)
     accuracies["soft combining"] = float(np.mean(soft == states))
 
     table = train_fusion(bits, states, seed=SEED + 2)

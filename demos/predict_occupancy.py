@@ -58,10 +58,7 @@ def main():
     preds = {
         "elm": ((elm_predict_many(elm, test.inputs) >= 0.5).astype(np.int64), t_elm),
         "bp": ((bp_predict_many(bp, test.inputs) >= 0.5).astype(np.int64), t_bp),
-        "hmm": (
-            np.array([hmm_predict(hmm, w) for w in test.inputs.astype(np.int64)]),
-            t_hmm,
-        ),
+        "hmm": (hmm_predict(hmm, test.inputs), t_hmm),
     }
     print(f"{'model':6s} {'P_D':>6s} {'P_FA':>6s} {'acc':>6s} {'train':>9s} {'errors near flip':>17s}")
     for name, (pred, t_train) in preds.items():

@@ -4,6 +4,9 @@ N secondary users each report a binary prediction for the slot; the reports
 are packed into one table index and a two-action Q-table learns which fused
 call (idle/busy) pays off against the realized state. Hard M-out-of-N voting
 and probability-ratio soft combining serve as baselines.
+
+State packing and both baselines work along the last axis: a 1-d vector
+gives one int, a 2-d array one int64 result per row.
 """
 
 from __future__ import annotations
@@ -19,19 +22,22 @@ from .seeding import make_rng
 _MAX_BITS = 20
 
 
-def encode_state(bits):
-    """Pack 0/1 bits along the last axis, bit i weighted 2^i.
-
-    A 1-d vector gives one int; a 2-d array gives one int64 code per row.
-    """
+def _bit_array(bits) -> np.ndarray:
+    """bits as int64, checked to be a nonempty 1-d or 2-d array of 0/1."""
     bits = np.asarray(bits, dtype=np.int64)
     if bits.ndim not in (1, 2) or bits.size == 0:
         raise ValueError("need a nonempty 1-d or 2-d bit array")
+    if np.any((bits != 0) & (bits != 1)):
+        raise ValueError("bits must be 0 or 1")
+    return bits
+
+
+def encode_state(bits):
+    """Pack 0/1 bits along the last axis, bit i weighted 2^i."""
+    bits = _bit_array(bits)
     n_bits = bits.shape[-1]
     if n_bits > _MAX_BITS:
         raise ValueError(f"at most {_MAX_BITS} bits, got {n_bits}")
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("bits must be 0 or 1")
     codes = bits @ (1 << np.arange(n_bits, dtype=np.int64))
     return int(codes) if bits.ndim == 1 else codes
 
@@ -175,27 +181,30 @@ def train_fusion(
     return table
 
 
-def m_out_of_n(preds, m: int) -> int:
+def m_out_of_n(preds, m: int):
     """Hard vote: busy when at least m of the N users predict busy."""
-    bits = np.asarray(preds, dtype=np.int64)
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("prediction bits must be 0 or 1")
-    if not 1 <= m <= len(bits):
-        raise ValueError(f"m must be in [1, {len(bits)}], got {m}")
-    return 1 if int(bits.sum()) >= m else 0
+    bits = _bit_array(preds)
+    n = bits.shape[-1]
+    if not 1 <= m <= n:
+        raise ValueError(f"m must be in [1, {n}], got {m}")
+    fused = (bits.sum(axis=-1) >= m).astype(np.int64)
+    return int(fused) if bits.ndim == 1 else fused
 
 
-def soft_fuse(p0: Sequence[float], p1: Sequence[float]) -> int:
+def soft_fuse(p0, p1):
     """Probability-ratio combining: idle when sum (p0-p1)/(p0+p1) >= 0."""
     p0 = np.asarray(p0, dtype=np.float64)
     p1 = np.asarray(p1, dtype=np.float64)
-    if p0.shape != p1.shape or p0.ndim != 1 or len(p0) == 0:
-        raise ValueError("p0 and p1 must be equal-length nonempty vectors")
+    if p0.shape != p1.shape or p0.ndim not in (1, 2) or p0.size == 0:
+        raise ValueError("p0 and p1 must be equal-shape nonempty 1-d or 2-d arrays")
+    # a NaN score would read busy, so reject what could make one
+    if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):
+        raise ValueError("p0 and p1 must be finite")
     denom = p0 + p1
     if np.any(denom <= 0):
         raise ValueError("each p0_i + p1_i must be positive")
-    score = float(np.sum((p0 - p1) / denom))
-    return 0 if score >= 0 else 1
+    fused = np.where(np.sum((p0 - p1) / denom, axis=-1) >= 0, 0, 1)
+    return int(fused) if p0.ndim == 1 else fused
 
 
 def noisy_local_predictions(

@@ -174,9 +174,7 @@ def run_prediction_benchmark(cfg: SimConfig) -> RunSummary:
 
         raw_elm = elm_predict_many(elm, test.inputs)
         raw_bp = bp_predict_many(bp, test.inputs)
-        pred_hmm = np.array(
-            [hmm_predict(hmm, w) for w in test.inputs.astype(np.int64)]
-        )
+        pred_hmm = hmm_predict(hmm, test.inputs)
         per_method = {
             "elm": ((raw_elm >= cfg.lam).astype(np.int64), raw_elm, t_elm),
             "bp": ((raw_bp >= cfg.lam).astype(np.int64), raw_bp, t_bp),
@@ -264,17 +262,15 @@ def run_fusion_benchmark(cfg: SimConfig) -> RunSummary:
         preds = {"q_fusion": policy[encode_state(bits)]}
         n = bits.shape[1]
         for m in range(1, n + 1):
-            preds[f"vote_m{m}"] = np.array([m_out_of_n(b, m) for b in bits])
+            preds[f"vote_m{m}"] = m_out_of_n(bits, m)
         # likelihood-calibrated soft inputs: p1 is the chance the channel is
         # busy given that user's report and its error rate
         p1 = np.where(bits == 1, 1.0 - rates[None, :], rates[None, :])
-        preds["soft"] = np.array(
-            [soft_fuse(1.0 - p, p) for p in p1]
-        )
+        preds["soft"] = soft_fuse(1.0 - p1, p1)
         half = cfg.n_slots // 2
         hmm = hmm_fit(states[:half])
         test = make_training_set(states[half - cfg.window:], cfg.window)
-        hmm_pred = np.array([hmm_predict(hmm, w) for w in test.inputs.astype(np.int64)])
+        hmm_pred = hmm_predict(hmm, test.inputs)
 
         for i in range(n):
             preds[f"local_{i}"] = bits[:, i]

@@ -10,7 +10,6 @@ All training is deterministic given (data, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -313,33 +312,27 @@ def hmm_fit(trace, n_states: int = 2) -> HmmModel:
     return HmmModel(pi=pi, A=A, B=B)
 
 
-def hmm_predict(model: HmmModel, observations: Sequence[int]) -> int:
-    """Most likely next state after Viterbi-decoding the observation sequence.
+def hmm_predict(model: HmmModel, observations):
+    """Most likely next state after Viterbi-decoding each window (last axis).
 
-    The delta recursion runs in log domain; the decoded final state's
-    transition row gives the prediction.
+    A 1-d window gives one int, a 2-d array one int64 per row. The log-domain
+    delta recursion runs over all windows at once; the decoded final state's
+    transition row gives the prediction, first maximum on ties.
     """
-    obs = np.asarray(observations, dtype=np.int64).tolist()
-    if len(obs) == 0:
-        raise ValueError("observations must be nonempty")
-    n_obs = model.B.shape[1]
-    if min(obs) < 0 or max(obs) >= n_obs:
+    obs = np.asarray(observations, dtype=np.int64)
+    if obs.ndim not in (1, 2) or obs.size == 0:
+        raise ValueError("observations must be a nonempty 1-d or 2-d array")
+    if obs.min() < 0 or obs.max() >= model.B.shape[1]:
         raise ValueError("observation outside the model's observation space")
-    # plain floats: for a handful of states, list arithmetic beats numpy's
-    # per-call overhead. The adds are the array recursion's, and
-    # max(..., key=) keeps the first maximum, as argmax does.
+    windows = np.atleast_2d(obs)
     with np.errstate(divide="ignore"):
-        log_pi = np.log(model.pi).tolist()
-        log_A_cols = np.log(model.A).T.tolist()
-        log_B_obs = np.log(model.B).T.tolist()
-    delta = list(map(add, log_pi, log_B_obs[obs[0]]))
-    for o in obs[1:]:
-        delta = [
-            max(map(add, delta, col)) + b for col, b in zip(log_A_cols, log_B_obs[o])
-        ]
-    q_last = max(range(len(delta)), key=delta.__getitem__)
-    row = model.A[q_last].tolist()
-    return max(range(len(row)), key=row.__getitem__)
+        log_pi, log_A = np.log(model.pi), np.log(model.A)
+        log_B_obs = np.log(model.B).T  # row o: log P(o | state)
+    delta = log_pi + log_B_obs[windows[:, 0]]
+    for t in range(1, windows.shape[1]):
+        delta = (delta[:, :, None] + log_A).max(axis=1) + log_B_obs[windows[:, t]]
+    pred = np.argmax(model.A, axis=1)[np.argmax(delta, axis=1)]
+    return int(pred[0]) if obs.ndim == 1 else pred
 
 
 @dataclass

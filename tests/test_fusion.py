@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from crspectrum.channel import ChannelParams, generate_trace
+from crspectrum.decision import decode_env_state, encode_env_state
 from crspectrum.fusion import (
     FusionQTable,
     decode_state,
@@ -22,6 +26,15 @@ class TestEncodeState:
         assert encode_state([1, 0, 1]) == 5
         assert encode_state([0, 0, 0]) == 0
         assert encode_state([1, 1, 1]) == 7
+        assert encode_state([0] * 10) == 0
+        assert encode_state([1] + [0] * 9) == 1
+        assert encode_state([1] * 10) == 1023
+
+    def test_decision_state_packing_is_this_function(self):
+        # the decision stage packs channel states with these very functions,
+        # so every test in this class covers its names too
+        assert encode_env_state is encode_state
+        assert decode_env_state is decode_state
 
     def test_bijective_exhaustive(self):
         # brute-force oracle: binary string with user 0 least significant
@@ -40,6 +53,8 @@ class TestEncodeState:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             encode_state([0, 2, 1])
+        with pytest.raises(ValueError):
+            encode_state([0, 3])
         with pytest.raises(ValueError):
             encode_state([[0, 1], [1, 2]])
 
@@ -157,6 +172,115 @@ class TestSoftFuse:
     def test_zero_denominator(self):
         with pytest.raises(ValueError):
             soft_fuse([0.0, 0.5], [0.0, 0.5])
+
+
+def _m_out_of_n_reference(preds, m):
+    # the one-vector vote the library made before it worked along rows
+    bits = np.asarray(preds, dtype=np.int64)
+    if np.any((bits != 0) & (bits != 1)):
+        raise ValueError("prediction bits must be 0 or 1")
+    if not 1 <= m <= len(bits):
+        raise ValueError(f"m must be in [1, {len(bits)}], got {m}")
+    return 1 if int(bits.sum()) >= m else 0
+
+
+def _soft_fuse_reference(p0, p1):
+    # the one-vector combining the library made before it worked along rows
+    p0 = np.asarray(p0, dtype=np.float64)
+    p1 = np.asarray(p1, dtype=np.float64)
+    if p0.shape != p1.shape or p0.ndim != 1 or len(p0) == 0:
+        raise ValueError("p0 and p1 must be equal-length nonempty vectors")
+    denom = p0 + p1
+    if np.any(denom <= 0):
+        raise ValueError("each p0_i + p1_i must be positive")
+    score = float(np.sum((p0 - p1) / denom))
+    return 0 if score >= 0 else 1
+
+
+@st.composite
+def _vote_rows(draw):
+    """(bits, m): r x n votes and a threshold in [1, n]."""
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 20)))
+    bits = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 1)))
+    return bits, draw(st.integers(1, shape[1]))
+
+
+# a coarse grid makes equal probabilities, and so exactly zero soft
+# scores, common
+_prob = st.one_of(st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def _soft_rows(draw):
+    """(p0, p1, tied): r x n probabilities; tied rows have p0 == p1."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 20)))
+    p0 = draw(hnp.arrays(np.float64, shape, elements=_prob))
+    p1 = draw(hnp.arrays(np.float64, shape, elements=_prob))
+    tied = draw(hnp.arrays(np.bool_, shape[0]))
+    p1[tied] = p0[tied]
+    return p0, p1, tied
+
+
+class TestBatchEqualsRows:
+    @settings(max_examples=200, deadline=None)
+    @given(_vote_rows())
+    def test_votes(self, case):
+        bits, m = case
+        fused = m_out_of_n(bits, m)
+        assert fused.dtype == np.int64
+        assert fused.tolist() == [_m_out_of_n_reference(b, m) for b in bits]
+        assert [m_out_of_n(b, m) for b in bits] == fused.tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_soft_rows())
+    def test_soft(self, case):
+        p0, p1, tied = case
+        fused = soft_fuse(p0, p1)
+        assert fused.dtype == np.int64
+        assert fused.tolist() == [_soft_fuse_reference(a, b) for a, b in zip(p0, p1)]
+        assert [soft_fuse(a, b) for a, b in zip(p0, p1)] == fused.tolist()
+        # an exactly zero score reads idle
+        assert not fused[tied].any()
+        # the batched call rests on numpy's row sums giving the 1-d sums' bits
+        terms = (p0 - p1) / (p0 + p1)
+        assert np.sum(terms, axis=-1).tolist() == [float(np.sum(t)) for t in terms]
+
+    def test_fusion_scenario_inputs(self):
+        # the three-user inputs the fusion scenario builds
+        rates = np.array([0.1, 0.15, 0.2])
+        tr = generate_trace(ChannelParams(10.0, 10.0), 3000, seed=8)
+        bits = noisy_local_predictions(tr.states, rates, seed=9)
+        for m in (1, 2, 3):
+            assert m_out_of_n(bits, m).tolist() == [
+                _m_out_of_n_reference(b, m) for b in bits
+            ]
+        p1 = np.where(bits == 1, 1.0 - rates[None, :], rates[None, :])
+        assert soft_fuse(1.0 - p1, p1).tolist() == [
+            _soft_fuse_reference(1.0 - p, p) for p in p1
+        ]
+
+
+class TestBaselineInputChecks:
+    def test_soft_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                soft_fuse([0.5, bad], [0.5, 0.5])
+            with pytest.raises(ValueError, match="finite"):
+                soft_fuse([[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [bad, 0.5]])
+
+    def test_vote_rejects_zero_rows(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            m_out_of_n(np.zeros((0, 3), dtype=np.int64), 2)
+
+    def test_soft_rejects_zero_rows(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            soft_fuse(np.zeros((0, 3)), np.zeros((0, 3)))
+
+    def test_three_dimensions_rejected(self):
+        with pytest.raises(ValueError):
+            m_out_of_n(np.zeros((2, 2, 2), dtype=np.int64), 1)
+        with pytest.raises(ValueError):
+            soft_fuse(np.ones((2, 2, 2)), np.ones((2, 2, 2)))
 
 
 def _bayes_actions(error_rates, p_busy):

@@ -1,7 +1,10 @@
+from operator import add
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from crspectrum.channel import ChannelParams, generate_trace
 from crspectrum.predictors import (
@@ -441,6 +444,16 @@ class TestHmm:
         model = hmm_fit(np.tile([0, 1], 50))
         with pytest.raises(ValueError):
             hmm_predict(model, [0, 2])
+        with pytest.raises(ValueError):
+            hmm_predict(model, [[0, 1], [1, -1]])
+
+    def test_rejects_empty_windows(self):
+        model = hmm_fit(np.tile([0, 1], 50))
+        for obs in ([], np.zeros((0, 10), dtype=np.int64), np.zeros((3, 0))):
+            with pytest.raises(ValueError, match="nonempty"):
+                hmm_predict(model, obs)
+        with pytest.raises(ValueError):
+            hmm_predict(model, np.zeros((2, 2, 2), dtype=np.int64))
 
 
 def _hmm_predict_reference(model, observations):
@@ -455,6 +468,24 @@ def _hmm_predict_reference(model, observations):
         delta = np.max(delta[:, None] + log_A, axis=0) + log_B[:, o]
     q_last = int(np.argmax(delta))
     return int(np.argmax(model.A[q_last]))
+
+
+def _hmm_predict_plain_float(model, observations):
+    # the per-window plain-float Viterbi the library used before it decoded
+    # all windows at once
+    obs = np.asarray(observations, dtype=np.int64).tolist()
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(model.pi).tolist()
+        log_A_cols = np.log(model.A).T.tolist()
+        log_B_obs = np.log(model.B).T.tolist()
+    delta = list(map(add, log_pi, log_B_obs[obs[0]]))
+    for o in obs[1:]:
+        delta = [
+            max(map(add, delta, col)) + b for col, b in zip(log_A_cols, log_B_obs[o])
+        ]
+    q_last = max(range(len(delta)), key=delta.__getitem__)
+    row = model.A[q_last].tolist()
+    return max(range(len(row)), key=row.__getitem__)
 
 
 # small integer weights make zero entries (log -inf) and exact ties common
@@ -481,6 +512,15 @@ def _hmm_and_window(draw):
     return model, window
 
 
+@st.composite
+def _hmm_and_windows(draw):
+    model, first = draw(_hmm_and_window())
+    shape = (draw(st.integers(0, 20)), len(first))
+    symbols = st.integers(0, model.B.shape[1] - 1)
+    rest = draw(hnp.arrays(np.int64, shape, elements=symbols))
+    return model, np.vstack([first, rest])
+
+
 class TestHmmMatchesNumpyViterbi:
     @settings(max_examples=300, deadline=None)
     @given(_hmm_and_window())
@@ -488,11 +528,22 @@ class TestHmmMatchesNumpyViterbi:
         model, window = case
         assert hmm_predict(model, window) == _hmm_predict_reference(model, window)
 
+    @settings(max_examples=200, deadline=None)
+    @given(_hmm_and_windows())
+    def test_batch_equals_per_window_loop(self, case):
+        model, windows = case
+        pred = hmm_predict(model, windows)
+        assert pred.dtype == np.int64
+        assert pred.tolist() == [_hmm_predict_plain_float(model, w) for w in windows]
+        assert pred.tolist() == [hmm_predict(model, w) for w in windows]
+
     def test_fitted_model_on_trace_windows(self):
         tr = generate_trace(ChannelParams(7.0, 3.0), 3000, seed=12)
         model = hmm_fit(tr)
-        for w in make_training_set(tr, 10).inputs.astype(np.int64):
-            assert hmm_predict(model, w) == _hmm_predict_reference(model, w)
+        windows = make_training_set(tr, 10).inputs.astype(np.int64)
+        assert hmm_predict(model, windows).tolist() == [
+            _hmm_predict_reference(model, w) for w in windows
+        ]
 
 
 class TestEvalPrediction:
