@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import make_rng
+from .seeding import derive_seed, make_rng
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,6 @@ def generate_multi(params_list, n_slots: int, seed: int) -> list[ChannelTrace]:
     params_list = list(params_list)
     if not params_list:
         raise ValueError("params_list must be nonempty")
-    from .seeding import derive_seed
-
     return [
         generate_trace(params, n_slots, derive_seed(seed, i))
         for i, params in enumerate(params_list)

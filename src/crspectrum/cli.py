@@ -1,8 +1,9 @@
 """Command-line front end: configure one scenario, run it, write outputs.
 
 Exit codes: 0 on success, 2 on a configuration problem (bad flag value,
-unparseable or unknown config key, invalid combination), 3 when reading
-the config file or writing outputs fails at the filesystem level.
+unparseable or unknown config key, non-finite number, invalid combination,
+config file not UTF-8 text), 3 when reading the config file or writing
+outputs fails at the filesystem level.
 """
 
 from __future__ import annotations
@@ -113,8 +114,11 @@ def main(argv=None) -> int:
             )
         config_text = None
         if args.config is not None:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config_text = fh.read()
+            try:
+                with open(args.config, "r", encoding="utf-8") as fh:
+                    config_text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config} is not UTF-8 text: {exc}")
         cfg = _build_config(args, config_text)
         summary = run_scenario(cfg, collect_events=args.verbose)
         written = emit_outputs(summary, formats, args.out, verbose=args.verbose)

@@ -7,7 +7,8 @@ hard error so typos cannot silently fall back to defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 SCENARIOS = ("prediction", "fusion", "recommendation", "decision-1", "decision-2")
@@ -164,22 +165,25 @@ def parse_config_text(text: str, base: SimConfig) -> SimConfig:
     return cfg
 
 
-def load_config(path: str, base: SimConfig) -> SimConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}")
-    return parse_config_text(text, base)
-
-
 def validate_config(cfg: SimConfig) -> None:
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")
+    # nan compares false, so it slips past checks such as mean_holding < 1
+    # below, and inf reaches the trace draws: reject both, by key
+    for name, kind in _FIELD_TYPES.items():
+        if kind is float:
+            values = (getattr(cfg, name),)
+        elif kind is tuple:
+            values = getattr(cfg, name) or ()
+        else:
+            continue
+        for value in values:
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
     for name in ("n_su", "n_channels", "n_slots", "k", "t", "k_min", "k_max",
                  "window", "elm_hidden", "bp_hidden", "bp_epochs",
-                 "score_window", "warmup_slots", "reps"):
-        if getattr(cfg, name) < 1 and not (name == "warmup_slots"):
+                 "score_window", "reps"):
+        if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be a positive count")
     if cfg.warmup_slots < 0:
         raise ConfigError("warmup_slots must be >= 0")

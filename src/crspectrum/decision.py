@@ -57,7 +57,6 @@ class DecisionQTable:
     values: np.ndarray  # 2^M x M
     alpha: float = 0.5
     gamma: float = 0.5
-    epsilon: float = 0.1
 
     @property
     def n_states(self) -> int:
@@ -69,7 +68,7 @@ class DecisionQTable:
 
 
 def new_decision_table(
-    m_channels: int, alpha: float = 0.5, gamma: float = 0.5, epsilon: float = 0.1
+    m_channels: int, alpha: float = 0.5, gamma: float = 0.5
 ) -> DecisionQTable:
     if not 1 <= m_channels <= _MAX_CHANNELS:
         raise ValueError(
@@ -79,13 +78,8 @@ def new_decision_table(
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if not 0 <= gamma < 1:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
-    if not 0 <= epsilon <= 1:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     return DecisionQTable(
-        values=np.zeros((1 << m_channels, m_channels)),
-        alpha=alpha,
-        gamma=gamma,
-        epsilon=epsilon,
+        values=np.zeros((1 << m_channels, m_channels)), alpha=alpha, gamma=gamma
     )
 
 
@@ -156,14 +150,14 @@ class MdpModel:
     policy: Optional[np.ndarray] = None
 
 
-def value_iteration(model: MdpModel, gamma: Optional[float] = None, tol: float = 1e-6):
+def value_iteration(model: MdpModel, tol: float = 1e-6):
     """Iterate Bellman backups to the optimal value function and policy.
 
     Stops when the max-norm change drops below tol; greedy ties resolve to
     the lowest action index. Accepts shared (S x S) or per-action
     (S x A x S) transitions and per-state or per-(s,a) rewards.
     """
-    g = model.gamma if gamma is None else gamma
+    g = model.gamma
     if not 0 <= g < 1:
         raise ValueError(f"gamma must be in [0, 1), got {g}")
     if tol <= 0:
@@ -193,18 +187,13 @@ def value_iteration(model: MdpModel, gamma: Optional[float] = None, tol: float =
     return V, policy
 
 
-def arbitrate(
-    requests: Iterable[int],
-    holding: Optional[Iterable[int]],
-    rng: np.random.Generator,
-) -> list:
+def arbitrate(requests: Iterable[int], rng: np.random.Generator) -> list:
     """Random priority order over this slot's requesting users.
 
-    Users already holding a channel are dropped; earlier positions pick
-    channels first.
+    Earlier positions pick channels first; the caller leaves out users who
+    already hold a channel.
     """
-    held = set(holding) if holding is not None else set()
-    pending = sorted(set(requests) - held)
+    pending = sorted(set(requests))
     if not pending:
         return []
     order = rng.permutation(len(pending))

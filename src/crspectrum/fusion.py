@@ -12,7 +12,7 @@ gives one int, a 2-d array one int64 result per row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,91 +51,13 @@ def decode_state(code: int, n_bits: int) -> np.ndarray:
 
 @dataclass
 class FusionQTable:
-    """State-action values over packed prediction vectors.
-
-    Rewards are r_p for a fused call that matches the realized state and r_n
-    otherwise. alpha and epsilon are defaults; training may override both
-    per step (visit-count averaging, exploration annealing).
-    """
+    """State-action values over packed prediction vectors."""
 
     values: np.ndarray  # 2^N x 2
-    alpha: float = 0.5
-    gamma: float = 0.5
-    r_p: float = 1.0
-    r_n: float = -1.0
-    epsilon: float = 0.1
 
     @property
     def n_states(self) -> int:
         return self.values.shape[0]
-
-
-def new_table(
-    n_users: int,
-    alpha: float = 0.5,
-    gamma: float = 0.5,
-    r_p: float = 1.0,
-    r_n: float = -1.0,
-    epsilon: float = 0.1,
-) -> FusionQTable:
-    if not 1 <= n_users <= _MAX_BITS:
-        raise ValueError(f"n_users must be in [1, {_MAX_BITS}], got {n_users}")
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if not 0 <= gamma < 1:
-        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
-    if not 0 <= epsilon <= 1:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    return FusionQTable(
-        values=np.zeros((1 << n_users, 2)),
-        alpha=alpha,
-        gamma=gamma,
-        r_p=r_p,
-        r_n=r_n,
-        epsilon=epsilon,
-    )
-
-
-def fusion_step(
-    table: FusionQTable,
-    state: int,
-    next_state: int,
-    actual: int,
-    rng: np.random.Generator,
-    alpha: Optional[float] = None,
-    epsilon: Optional[float] = None,
-):
-    """One epsilon-greedy act-and-learn step; returns (action, table).
-
-    The action is chosen from the pre-update table: greedy argmax with
-    probability 1-epsilon (ties toward idle), uniform otherwise. The update
-    is in place.
-    """
-    if not 0 <= state < table.n_states or not 0 <= next_state < table.n_states:
-        raise ValueError(f"state {state}/{next_state} out of range")
-    if actual not in (0, 1):
-        raise ValueError(f"actual must be 0 or 1, got {actual}")
-    eps = table.epsilon if epsilon is None else epsilon
-    lr = table.alpha if alpha is None else alpha
-    action = _fusion_act(table, state, eps, rng)
-    _fusion_learn(table, state, action, next_state, actual, lr)
-    return action, table
-
-
-def _fusion_act(table: FusionQTable, state: int, epsilon: float, rng) -> int:
-    """Uniform action with probability epsilon, else greedy (ties toward idle)."""
-    if epsilon > 0 and rng.random() < epsilon:
-        return int(rng.integers(0, 2))
-    return int(np.argmax(table.values[state]))
-
-
-def _fusion_learn(
-    table: FusionQTable, state: int, action: int, next_state: int, actual: int, lr
-) -> None:
-    """Move Q(state, action) toward reward plus discounted best next value."""
-    r = table.r_p if action == actual else table.r_n
-    target = r + table.gamma * float(np.max(table.values[next_state]))
-    table.values[state, action] += lr * (target - table.values[state, action])
 
 
 def greedy_actions(table: FusionQTable) -> np.ndarray:
@@ -154,10 +76,13 @@ def train_fusion(
 ) -> FusionQTable:
     """Run the fusion learner over a full trace of local predictions.
 
-    local_bits is T x N. Exploration decays linearly from epsilon to zero
-    over the first half of the run; the learning rate for each
-    (state, action) is 1/visit-count, which settles the greedy policy on
-    the empirically best action per state.
+    local_bits is T x N. Each step acts epsilon-greedily on the pre-update
+    table (uniform with probability epsilon, else greedy with ties toward
+    idle) and moves Q(state, action) toward r_p for a call that matches the
+    realized state (r_n otherwise) plus gamma times the best next value.
+    Exploration decays linearly from epsilon to zero over the first half of
+    the run; the learning rate for each (state, action) is 1/visit-count,
+    which settles the greedy policy on the empirically best action per state.
     """
     local_bits = np.asarray(local_bits, dtype=np.int64)
     actual = np.asarray(actual, dtype=np.int64)
@@ -166,19 +91,30 @@ def train_fusion(
     T, n_users = local_bits.shape
     if T < 2:
         raise ValueError("need at least 2 slots to train")
-    table = new_table(n_users, gamma=gamma, r_p=r_p, r_n=r_n, epsilon=epsilon)
+    if not 1 <= n_users <= _MAX_BITS:
+        raise ValueError(f"n_users must be in [1, {_MAX_BITS}], got {n_users}")
+    if not 0 <= gamma < 1:
+        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
+    if not 0 <= epsilon <= 1:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    values = np.zeros((1 << n_users, 2))
     rng = make_rng(seed)
     codes = encode_state(local_bits)
-    visits = np.zeros((table.n_states, 2), dtype=np.int64)
+    visits = np.zeros(values.shape, dtype=np.int64)
     half = (T - 1) / 2.0
     for t in range(T - 1):
         s = int(codes[t])
         eps_t = epsilon * max(0.0, 1.0 - t / half)
-        action = _fusion_act(table, s, eps_t, rng)
+        if eps_t > 0 and rng.random() < eps_t:
+            action = int(rng.integers(0, 2))
+        else:
+            action = int(np.argmax(values[s]))
         visits[s, action] += 1
         lr = 1.0 / visits[s, action]
-        _fusion_learn(table, s, action, int(codes[t + 1]), actual[t], lr)
-    return table
+        r = r_p if action == actual[t] else r_n
+        target = r + gamma * float(np.max(values[int(codes[t + 1])]))
+        values[s, action] += lr * (target - values[s, action])
+    return FusionQTable(values=values)
 
 
 def m_out_of_n(preds, m: int):

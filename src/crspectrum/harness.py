@@ -386,9 +386,7 @@ def _simulate_access(
     rng_act = make_rng(act_seed, 2)
 
     if method == "q":
-        table = new_decision_table(
-            m_ch, alpha=cfg.alpha, gamma=cfg.gamma, epsilon=cfg.epsilon
-        )
+        table = new_decision_table(m_ch, alpha=cfg.alpha, gamma=cfg.gamma)
     elif method == "mdp":
         r_sums = [[0.0] * m_ch for _ in range(1 << m_ch)]
         r_counts = [[0] * m_ch for _ in range(1 << m_ch)]
@@ -493,7 +491,7 @@ def _simulate_access(
             requesting = [
                 u for u, d in enumerate(draws) if d < request_prob and not busy[u]
             ]
-        order = arbitrate(requesting, None, rng_arb)
+        order = arbitrate(requesting, rng_arb)
         # idle, unheld channels, in increasing order; grants must fit the
         # horizon
         candidates = (
@@ -611,14 +609,14 @@ def _train_channel_elms(cfg: SimConfig, pu: np.ndarray, rep_seed: int):
     return models
 
 
-# ---------------------------------------------------------------------------
-# recommendation benchmark
+def _run_access(cfg: SimConfig, methods, k_values, located: bool, collect_events: bool):
+    """Every (repetition, K, method) run of an access scenario; (rows, events).
 
-
-def run_recommendation_benchmark(
-    cfg: SimConfig, collect_events: bool = False
-) -> RunSummary:
-    """Score-guided channel choice against blind random access."""
+    Each repetition draws its channel traces, trains the per-channel ELM
+    advisors and, when located, places the users and builds their partner
+    lists and distance weights; every K and method then runs over those.
+    Events, when collected, are tagged with their method, K and seed.
+    """
     rows = []
     events = [] if collect_events else None
     for rep in range(cfg.reps):
@@ -629,21 +627,49 @@ def run_recommendation_benchmark(
         )
         pu = np.stack([tr.states for tr in traces])
         a_bits = _AdvisoryBits(cfg, pu, _train_channel_elms(cfg, pu, rep_seed))
-        for method in ("cf", "random"):
-            res = _simulate_access(
-                cfg,
-                pu,
-                method,
-                cfg.k,
-                env_seed=derive_seed(rep_seed, _TAG_SIM, cfg.k),
-                act_seed=derive_seed(rep_seed, _TAG_SIM, cfg.k, _METHOD_IDS[method]),
-                collect_events=collect_events,
-                a_bits=a_bits,
+        weights = neighbor_lists = None
+        if located:
+            locations = place_users(
+                cfg.n_su,
+                cfg.arena_side,
+                cfg.comm_radius,
+                derive_seed(rep_seed, _TAG_LOCATIONS),
             )
-            rows.append(_metrics_row(method, cfg.k, rep, res))
-            if events is not None:
-                for ev in res["events"]:
-                    events.append({"method": method, "k": cfg.k, "seed": rep, **ev})
+            neighbor_lists = [sorted(neighbors(locations, u)) for u in range(cfg.n_su)]
+            # distance discount of v's ratings for u, fixed for the repetition
+            weights = [
+                [math.exp(-u.distance_to(v)) for v in locations] for u in locations
+            ]
+        for k in k_values:
+            for method in methods:
+                res = _simulate_access(
+                    cfg,
+                    pu,
+                    method,
+                    k,
+                    env_seed=derive_seed(rep_seed, _TAG_SIM, k),
+                    act_seed=derive_seed(rep_seed, _TAG_SIM, k, _METHOD_IDS[method]),
+                    weights=weights,
+                    neighbor_lists=neighbor_lists,
+                    collect_events=collect_events,
+                    a_bits=a_bits,
+                )
+                rows.append(_metrics_row(method, k, rep, res))
+                if events is not None:
+                    for ev in res["events"]:
+                        events.append({"method": method, "k": k, "seed": rep, **ev})
+    return rows, events
+
+
+# ---------------------------------------------------------------------------
+# recommendation benchmark
+
+
+def run_recommendation_benchmark(
+    cfg: SimConfig, collect_events: bool = False
+) -> RunSummary:
+    """Score-guided channel choice against blind random access."""
+    rows, events = _run_access(cfg, ("cf", "random"), [cfg.k], False, collect_events)
     aggregates = _mean_rows(rows, group=("method",), metrics=("p_collision", "d_e"))
     return RunSummary(
         scenario=cfg.scenario,
@@ -665,48 +691,10 @@ def run_decision_scenario(
     """Q-learning and greedy-MDP agents against random access over a K sweep."""
     if scenario not in (1, 2):
         raise ValueError(f"scenario must be 1 or 2, got {scenario}")
-    rows = []
-    events = [] if collect_events else None
     k_values = list(range(cfg.k_min, cfg.k_max + 1))
-    for rep in range(cfg.reps):
-        rep_seed = derive_seed(cfg.seed, rep)
-        params = _channel_params(cfg, make_rng(rep_seed, _TAG_CHANNELS, 0))
-        traces = generate_multi(
-            params, cfg.n_slots, derive_seed(rep_seed, _TAG_CHANNELS, 1)
-        )
-        pu = np.stack([tr.states for tr in traces])
-        a_bits = _AdvisoryBits(cfg, pu, _train_channel_elms(cfg, pu, rep_seed))
-        weights = neighbor_lists = None
-        if scenario == 2:
-            locations = place_users(
-                cfg.n_su,
-                cfg.arena_side,
-                cfg.comm_radius,
-                derive_seed(rep_seed, _TAG_LOCATIONS),
-            )
-            neighbor_lists = [sorted(neighbors(locations, u)) for u in range(cfg.n_su)]
-            # distance discount of v's ratings for u, fixed for the repetition
-            weights = [
-                [math.exp(-u.distance_to(v)) for v in locations] for u in locations
-            ]
-        for k in k_values:
-            for method in ("q", "mdp", "random"):
-                res = _simulate_access(
-                    cfg,
-                    pu,
-                    method,
-                    k,
-                    env_seed=derive_seed(rep_seed, _TAG_SIM, k),
-                    act_seed=derive_seed(rep_seed, _TAG_SIM, k, _METHOD_IDS[method]),
-                    weights=weights,
-                    neighbor_lists=neighbor_lists,
-                    collect_events=collect_events,
-                    a_bits=a_bits,
-                )
-                rows.append(_metrics_row(method, k, rep, res))
-                if events is not None:
-                    for ev in res["events"]:
-                        events.append({"method": method, "k": k, "seed": rep, **ev})
+    rows, events = _run_access(
+        cfg, ("q", "mdp", "random"), k_values, scenario == 2, collect_events
+    )
     aggregates = _mean_rows(
         rows, group=("method", "k"), metrics=("p_collision", "d_e")
     )
@@ -820,24 +808,19 @@ def summary_to_json(summary: RunSummary) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+_ACCESS_COLUMNS = (
+    "method", "k", "seed", "p_collision", "d_e",
+    "n_total", "n_collision", "d_success",
+)
 _CSV_COLUMNS = {
     "prediction": (
         "method", "seed", "p_d", "p_fa", "accuracy", "mse",
         "tp", "tn", "fp", "fn", "errors_near_transition",
     ),
     "fusion": ("method", "seed", "p_d", "p_fa", "accuracy", "n_evaluated"),
-    "recommendation": (
-        "method", "k", "seed", "p_collision", "d_e",
-        "n_total", "n_collision", "d_success",
-    ),
-    "decision-1": (
-        "method", "k", "seed", "p_collision", "d_e",
-        "n_total", "n_collision", "d_success",
-    ),
-    "decision-2": (
-        "method", "k", "seed", "p_collision", "d_e",
-        "n_total", "n_collision", "d_success",
-    ),
+    "recommendation": _ACCESS_COLUMNS,
+    "decision-1": _ACCESS_COLUMNS,
+    "decision-2": _ACCESS_COLUMNS,
 }
 
 

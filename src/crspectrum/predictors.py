@@ -80,12 +80,9 @@ class ElmModel:
     """Random sine-feature network with least-squares output weights."""
 
     input_dim: int
-    hidden_count: int
     input_weights: np.ndarray   # L x n, drawn uniform [-1, 1]
     biases: np.ndarray          # length L, drawn uniform [-1, 1]
     output_weights: np.ndarray  # length L, least-squares fit
-    seed: int
-    activation: str = "sine"
 
 
 def elm_train(data: TrainingSet, hidden_count: int, seed: int) -> ElmModel:
@@ -100,14 +97,7 @@ def elm_train(data: TrainingSet, hidden_count: int, seed: int) -> ElmModel:
     b = rng.uniform(-1.0, 1.0, size=hidden_count)
     H = np.sin(data.inputs @ W.T + b)
     beta = pinv_solve(H, data.targets)
-    return ElmModel(
-        input_dim=n,
-        hidden_count=hidden_count,
-        input_weights=W,
-        biases=b,
-        output_weights=beta,
-        seed=seed,
-    )
+    return ElmModel(input_dim=n, input_weights=W, biases=b, output_weights=beta)
 
 
 def elm_predict(model: ElmModel, window: Sequence[int]) -> float:
@@ -152,15 +142,10 @@ class BpModel:
     """Single-hidden-layer sigmoid network trained by backpropagation."""
 
     input_dim: int
-    hidden_count: int
     w_hidden: np.ndarray  # L x n
     b_hidden: np.ndarray  # length L
     w_out: np.ndarray     # length L
     b_out: float
-    learning_rate: float
-    max_epochs: int
-    goal_mse: float
-    seed: int
     epochs_run: int = 0
 
 
@@ -239,34 +224,13 @@ def bp_train(
         if float(np.mean((y - T) ** 2)) <= goal_mse:
             break
     return BpModel(
-        input_dim=n,
-        hidden_count=hidden_count,
-        w_hidden=w1,
-        b_hidden=b1,
-        w_out=w2,
-        b_out=b2,
-        learning_rate=learning_rate,
-        max_epochs=max_epochs,
-        goal_mse=goal_mse,
-        seed=seed,
+        input_dim=n, w_hidden=w1, b_hidden=b1, w_out=w2, b_out=b2,
         epochs_run=epochs_run,
     )
 
 
-def bp_predict(model: BpModel, window: Sequence[int]) -> float:
-    """Raw sigmoid output for one history window."""
-    x = np.asarray(window, dtype=np.float64)
-    if x.shape != (model.input_dim,):
-        raise ValueError(
-            f"window shape {x.shape} does not match input_dim {model.input_dim}"
-        )
-    _, y = _bp_forward(
-        model.w_hidden, model.b_hidden, model.w_out, model.b_out, x[None, :]
-    )
-    return float(y[0])
-
-
 def bp_predict_many(model: BpModel, windows: np.ndarray) -> np.ndarray:
+    """Raw sigmoid outputs for a batch of windows, one row each."""
     X = np.asarray(windows, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError(f"expected S x {model.input_dim} windows, got {X.shape}")

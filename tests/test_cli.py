@@ -35,6 +35,12 @@ class TestExitCodes:
         conf = write_conf(tmp_path, FAST_RECO + "alpha = 1.5\n")
         assert main(["--config", conf, "--out", str(tmp_path / "out")]) == 2
 
+    def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.conf"
+        path.write_bytes(FAST_RECO.encode("utf-8") + b"n_slots = 2\xff0\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert str(path) in capsys.readouterr().err
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         missing = str(tmp_path / "absent.conf")
         assert main(["--scenario", "fusion", "--config", missing]) == 3
@@ -68,9 +74,13 @@ class TestExitCodes:
              "1 to 20 error_rates"),
             ("scenario = fusion\nn_slots = 19\nwindow = 10\n", "n_slots // 2"),
             ("scenario = prediction\nn_slots = 29\n", "n_slots // 2 > 14"),
+            ("scenario = prediction\nmean_holding = nan\n", "mean_holding"),
+            ("scenario = decision-1\nholding_range = 1,inf\n", "holding_range"),
+            ("scenario = decision-2\narena_side = nan\n", "arena_side"),
         ],
         ids=["fusion-no-rates", "fusion-21-rates", "fusion-short-horizon",
-             "prediction-short-horizon"],
+             "prediction-short-horizon", "nan-mean-holding", "inf-holding-range",
+             "nan-arena-side"],
     )
     def test_config_the_run_cannot_use_is_config_error(self, tmp_path, capsys, text, message):
         conf = write_conf(tmp_path, text)

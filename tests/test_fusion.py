@@ -10,10 +10,8 @@ from crspectrum.fusion import (
     FusionQTable,
     decode_state,
     encode_state,
-    fusion_step,
     greedy_actions,
     m_out_of_n,
-    new_table,
     noisy_local_predictions,
     soft_fuse,
     train_fusion,
@@ -76,52 +74,6 @@ class TestEncodeState:
         for bits in ([0] * 21, np.zeros((2, 21), dtype=np.int64)):
             with pytest.raises(ValueError):
                 encode_state(bits)
-
-
-class TestFusionStep:
-    def test_single_step_hand_update(self):
-        # zero table, gamma=0, matching action: Q moves to alpha * r_p
-        table = new_table(2, alpha=0.5, gamma=0.0, r_p=1.0, r_n=-1.0, epsilon=0.0)
-        action, table = fusion_step(table, 1, 2, actual=0, rng=make_rng(0))
-        assert action == 0  # all-zero row, tie resolves to idle
-        assert table.values[1, 0] == pytest.approx(0.5)
-        assert table.values[1, 1] == 0.0
-
-    def test_greedy_argmax(self):
-        table = new_table(2, epsilon=0.0)
-        table.values[3] = [2.0, 1.0]
-        action, _ = fusion_step(table, 3, 0, actual=1, rng=make_rng(1))
-        assert action == 0
-
-    def test_penalty_on_mismatch(self):
-        table = new_table(1, alpha=1.0, gamma=0.0, epsilon=0.0)
-        action, table = fusion_step(table, 0, 0, actual=1, rng=make_rng(2))
-        assert action == 0
-        assert table.values[0, 0] == pytest.approx(-1.0)
-
-    def test_geometric_convergence(self):
-        # constant reward, gamma=0: gap to r shrinks by (1-alpha) per visit
-        alpha = 0.3
-        table = new_table(1, alpha=alpha, gamma=0.0, r_p=1.0, epsilon=0.0)
-        table.values[0, 1] = -100.0  # pin the greedy choice to action 0
-        rng = make_rng(3)
-        for k in range(1, 25):
-            fusion_step(table, 0, 0, actual=0, rng=rng)
-            expect = 1.0 - (1.0 - alpha) ** k
-            assert table.values[0, 0] == pytest.approx(expect, abs=1e-12)
-
-    def test_frozen_table_deterministic(self):
-        table = new_table(3, epsilon=0.0)
-        rng = make_rng(4)
-        table.values[5] = [0.2, 0.9]
-        first = fusion_step(table, 5, 5, actual=1, rng=rng, alpha=0.0)[0]
-        for _ in range(10):
-            assert fusion_step(table, 5, 5, actual=1, rng=rng, alpha=0.0)[0] == first
-
-    def test_out_of_range_state(self):
-        table = new_table(2)
-        with pytest.raises(ValueError):
-            fusion_step(table, 4, 0, actual=0, rng=make_rng(0))
 
 
 class TestMOutOfN:
@@ -339,13 +291,30 @@ class TestTrainFusion:
         )
         assert table.values.tolist() == [[3.0, 0.0], [0.0, 0.0]]
 
+    @pytest.mark.parametrize(
+        "n_users, kw, message",
+        [
+            (21, {}, "n_users"),
+            (2, dict(gamma=1.0), "gamma"),
+            (2, dict(gamma=-0.1), "gamma"),
+            (2, dict(epsilon=1.5), "epsilon"),
+            (2, dict(epsilon=-0.1), "epsilon"),
+        ],
+        ids=["21-users", "gamma-1", "gamma-negative", "epsilon-above-1",
+             "epsilon-negative"],
+    )
+    def test_rejects_out_of_range_settings(self, n_users, kw, message):
+        bits = np.zeros((4, n_users), dtype=np.int64)
+        with pytest.raises(ValueError, match=message):
+            train_fusion(bits, [0, 1, 0, 1], seed=0, **kw)
+
 
 def _reference_train_fusion(local_bits, actual, seed, gamma, r_p, r_n, epsilon):
-    # train_fusion's own loop before it shared the fusion step
+    # train_fusion's loop as first written, with its own state packing
     local_bits = np.asarray(local_bits, dtype=np.int64)
     actual = np.asarray(actual, dtype=np.int64)
     T, n_users = local_bits.shape
-    table = new_table(n_users, gamma=gamma, r_p=r_p, r_n=r_n, epsilon=epsilon)
+    table = FusionQTable(values=np.zeros((1 << n_users, 2)))
     rng = make_rng(seed)
     codes = local_bits @ (1 << np.arange(n_users, dtype=np.int64))
     visits = np.zeros((table.n_states, 2), dtype=np.int64)

@@ -1,3 +1,4 @@
+import functools
 from operator import add
 
 import numpy as np
@@ -13,7 +14,6 @@ from crspectrum.predictors import (
     _sigmoid,
     bp_gradients,
     bp_loss,
-    bp_predict,
     bp_predict_many,
     bp_train,
     elm_predict,
@@ -128,11 +128,9 @@ class TestElm:
 
         model = ElmModel(
             input_dim=2,
-            hidden_count=1,
             input_weights=np.zeros((1, 2)),
             biases=np.array([np.pi / 2]),
             output_weights=np.array([1.0]),
-            seed=0,
         )
         assert elm_predict(model, [0, 0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -188,15 +186,10 @@ def _fd_gradients(model, X, T, h=1e-6):
 def _random_bp(rng, n, L):
     return BpModel(
         input_dim=n,
-        hidden_count=L,
         w_hidden=rng.uniform(-0.5, 0.5, size=(L, n)),
         b_hidden=rng.uniform(-0.5, 0.5, size=L),
         w_out=rng.uniform(-0.5, 0.5, size=L),
         b_out=float(rng.uniform(-0.5, 0.5)),
-        learning_rate=0.2,
-        max_epochs=200,
-        goal_mse=1e-4,
-        seed=0,
     )
 
 
@@ -237,12 +230,13 @@ class TestBp:
         model.w_out[:] = 0.0
         model.b_out = 0.3
         expect = 1.0 / (1.0 + np.exp(-0.3))
-        assert bp_predict(model, [0, 1, 0, 1]) == pytest.approx(expect, abs=1e-12)
+        (got,) = bp_predict_many(model, [[0, 1, 0, 1]])
+        assert got == pytest.approx(expect, abs=1e-12)
 
     def test_dimension_mismatch(self):
         model = _random_bp(np.random.default_rng(0), 4, 6)
         with pytest.raises(ValueError):
-            bp_predict(model, [0, 1])
+            bp_predict_many(model, [[0, 1]])
 
     def test_learns_alternating_trace(self):
         # strict alternation is linearly separable from the last bit
@@ -380,12 +374,11 @@ class TestBpLeavesInputsAlone:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda m, X, T: bp_predict(m, X[0]),
             lambda m, X, T: bp_predict_many(m, X),
             lambda m, X, T: bp_loss(m, X, T),
             lambda m, X, T: bp_gradients(m, X, T),
         ],
-        ids=["bp_predict", "bp_predict_many", "bp_loss", "bp_gradients"],
+        ids=["bp_predict_many", "bp_loss", "bp_gradients"],
     )
     def test_call_is_pure(self, call):
         model, X, T, snapshot = self._setup()
@@ -492,12 +485,15 @@ def _hmm_predict_plain_float(model, observations):
 _weight = st.one_of(st.integers(0, 3).map(float), st.floats(1e-3, 1.0))
 
 
+@functools.cache  # one strategy per shape: building one costs more than a draw
 def _stochastic(n_rows, n_cols):
-    rows = st.lists(
-        st.lists(_weight, min_size=n_cols, max_size=n_cols).filter(any),
-        min_size=n_rows, max_size=n_rows,
-    )
-    return rows.map(lambda r: np.array(r) / np.array(r).sum(axis=1, keepdims=True))
+    # one array draw; an all-zero row becomes all ones rather than a
+    # rejected example, so no draw is thrown away
+    def normalise(w):
+        w[~w.any(axis=1)] = 1.0
+        return w / w.sum(axis=1, keepdims=True)
+
+    return hnp.arrays(np.float64, (n_rows, n_cols), elements=_weight).map(normalise)
 
 
 @st.composite
