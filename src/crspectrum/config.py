@@ -124,7 +124,7 @@ def _convert(key: str, raw: str, kind) -> object:
             return float(raw)
         if kind is bool:
             return _parse_bool(raw, key)
-        if kind is tuple or kind == Optional[tuple]:
+        if kind is tuple:
             return _parse_tuple(raw, key)
         return raw  # str fields pass through
     except ConfigError:

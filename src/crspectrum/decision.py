@@ -24,15 +24,6 @@ from .fusion import encode_state as encode_env_state  # noqa: F401
 _MAX_CHANNELS = 20
 
 
-@dataclass(frozen=True)
-class RewardInputs:
-    """Outcome bits of one resolved access."""
-
-    collision: bool
-    a: int  # predicted next state of the chosen channel
-    b: int  # 1 if the channel was on the recommendation list
-
-
 # (A, B) -> no-collision reward; a collision negates it
 _REWARD_TABLE = {
     (0, 1): 300.0,
@@ -42,12 +33,16 @@ _REWARD_TABLE = {
 }
 
 
-def reward(inputs: RewardInputs) -> float:
-    """Composite reward of one access outcome."""
-    if inputs.a not in (0, 1) or inputs.b not in (0, 1):
+def reward(collision: bool, a: int, b: int) -> float:
+    """Composite reward of one resolved access.
+
+    a is the predicted next state of the chosen channel, b is 1 if the
+    channel was on the recommendation list.
+    """
+    if a not in (0, 1) or b not in (0, 1):
         raise ValueError("A and B must be 0 or 1")
-    base = _REWARD_TABLE[(inputs.a, inputs.b)]
-    return -base if inputs.collision else base
+    base = _REWARD_TABLE[(a, b)]
+    return -base if collision else base
 
 
 @dataclass
@@ -146,8 +141,6 @@ class MdpModel:
     transition: np.ndarray       # S x S (shared rows) or S x A x S
     reward: np.ndarray           # S (state reward) or S x A
     gamma: float = 0.5
-    v: Optional[np.ndarray] = None
-    policy: Optional[np.ndarray] = None
 
 
 def value_iteration(model: MdpModel, tol: float = 1e-6):
@@ -181,10 +174,7 @@ def value_iteration(model: MdpModel, tol: float = 1e-6):
             break
     else:
         raise RuntimeError("value iteration failed to converge")
-    policy = np.argmax(Q, axis=1)
-    model.v = V
-    model.policy = policy
-    return V, policy
+    return V, np.argmax(Q, axis=1)
 
 
 def arbitrate(requests: Iterable[int], rng: np.random.Generator) -> list:

@@ -24,7 +24,6 @@ import numpy as np
 from .channel import ChannelParams, generate_multi, generate_trace, place_users, neighbors
 from .config import SWEEP_WINDOWS, SimConfig, config_to_dict
 from .decision import (
-    RewardInputs,
     arbitrate,
     new_decision_table,
     q_update,
@@ -77,23 +76,6 @@ _METHOD_IDS = {"q": 0, "mdp": 1, "random": 2, "cf": 3}
 
 
 @dataclass
-class DecisionMetrics:
-    """Access outcome rates; undefined rates are None, never zero."""
-
-    n_total: int
-    n_collision: int
-    d_success: int
-
-    @property
-    def p_collision(self) -> Optional[float]:
-        return self.n_collision / self.n_total if self.n_total > 0 else None
-
-    @property
-    def d_e(self) -> Optional[float]:
-        return self.d_success / self.n_total if self.n_total > 0 else None
-
-
-@dataclass
 class RunSummary:
     """Everything one scenario run produced.
 
@@ -133,6 +115,28 @@ def _channel_params(cfg: SimConfig, rng: np.random.Generator) -> list:
     return params
 
 
+def _rep_trace(cfg: SimConfig, rep: int):
+    """Repetition rep's seed and the occupancy states of its first channel."""
+    rep_seed = derive_seed(cfg.seed, rep)
+    params = _channel_params(cfg, make_rng(rep_seed, _TAG_CHANNELS, 0))
+    trace = generate_trace(
+        params[0], cfg.n_slots, derive_seed(rep_seed, _TAG_CHANNELS, 1)
+    )
+    return rep_seed, trace.states
+
+
+def _summary(cfg: SimConfig, rows, group, metrics, **extra) -> RunSummary:
+    """The run's summary: config echo, seeds, rows and per-group means."""
+    return RunSummary(
+        scenario=cfg.scenario,
+        config=config_to_dict(cfg),
+        seeds=list(range(cfg.reps)),
+        rows=rows,
+        aggregates=_mean_rows(rows, group, metrics),
+        **extra,
+    )
+
+
 # ---------------------------------------------------------------------------
 # prediction benchmark
 
@@ -144,12 +148,7 @@ def run_prediction_benchmark(cfg: SimConfig) -> RunSummary:
     sweep_windows = list(SWEEP_WINDOWS)
     sweep_mse = np.zeros((cfg.reps, len(sweep_windows)))
     for rep in range(cfg.reps):
-        rep_seed = derive_seed(cfg.seed, rep)
-        params = _channel_params(cfg, make_rng(rep_seed, _TAG_CHANNELS, 0))
-        trace = generate_trace(
-            params[0], cfg.n_slots, derive_seed(rep_seed, _TAG_CHANNELS, 1)
-        )
-        states = trace.states
+        rep_seed, states = _rep_trace(cfg, rep)
         half = cfg.n_slots // 2
         train = make_training_set(states[:half], cfg.window)
         test = make_training_set(states[half - cfg.window:], cfg.window)
@@ -183,10 +182,6 @@ def run_prediction_benchmark(cfg: SimConfig) -> RunSummary:
         for method, (pred, raw, t_train) in per_method.items():
             m = eval_prediction(pred, actual, train_times=(t_train, t_bp), raw=raw)
             near = transition_error_fraction(pred, actual)
-            tp = int(np.sum((pred == 1) & (actual == 1)))
-            tn = int(np.sum((pred == 0) & (actual == 0)))
-            fp = int(np.sum((pred == 1) & (actual == 0)))
-            fn = int(np.sum((pred == 0) & (actual == 1)))
             rows.append(
                 {
                     "method": method,
@@ -195,10 +190,10 @@ def run_prediction_benchmark(cfg: SimConfig) -> RunSummary:
                     "p_fa": m.p_fa,
                     "accuracy": m.accuracy,
                     "mse": m.mse,
-                    "tp": tp,
-                    "tn": tn,
-                    "fp": fp,
-                    "fn": fn,
+                    "tp": m.tp,
+                    "tn": m.tn,
+                    "fp": m.fp,
+                    "fn": m.fn,
                     "errors_near_transition": near,
                 }
             )
@@ -213,7 +208,6 @@ def run_prediction_benchmark(cfg: SimConfig) -> RunSummary:
             raw_w = elm_predict_many(model_w, te_w.inputs)
             sweep_mse[rep, j] = float(np.mean((raw_w - te_w.targets) ** 2))
 
-    aggregates = _mean_rows(rows, group=("method",), metrics=("accuracy", "p_d", "p_fa", "mse"))
     series = {
         "mse_vs_window": {
             "x": sweep_windows,
@@ -222,14 +216,9 @@ def run_prediction_benchmark(cfg: SimConfig) -> RunSummary:
             "lines": {"elm": [float(v) for v in sweep_mse.mean(axis=0)]},
         }
     }
-    return RunSummary(
-        scenario=cfg.scenario,
-        config=config_to_dict(cfg),
-        seeds=list(range(cfg.reps)),
-        rows=rows,
-        aggregates=aggregates,
-        series=series,
-        timings=timings,
+    return _summary(
+        cfg, rows, ("method",), ("accuracy", "p_d", "p_fa", "mse"),
+        series=series, timings=timings,
     )
 
 
@@ -242,12 +231,8 @@ def run_fusion_benchmark(cfg: SimConfig) -> RunSummary:
     rows = []
     rates = np.asarray(cfg.error_rates, dtype=np.float64)
     for rep in range(cfg.reps):
-        rep_seed = derive_seed(cfg.seed, rep)
-        params = _channel_params(cfg, make_rng(rep_seed, _TAG_CHANNELS, 0))
-        trace = generate_trace(
-            params[0], cfg.n_slots, derive_seed(rep_seed, _TAG_CHANNELS, 1)
-        )
-        states = trace.states.astype(np.int64)
+        rep_seed, states = _rep_trace(cfg, rep)
+        states = states.astype(np.int64)
         bits = noisy_local_predictions(states, rates, derive_seed(rep_seed, _TAG_NOISE))
         table = train_fusion(
             bits,
@@ -274,8 +259,12 @@ def run_fusion_benchmark(cfg: SimConfig) -> RunSummary:
 
         for i in range(n):
             preds[f"local_{i}"] = bits[:, i]
-        for method, pred in preds.items():
-            m = eval_prediction(pred, states)
+        # every method is scored on the whole trace but hmm, which predicts
+        # the test half only
+        scored = [(method, pred, states) for method, pred in preds.items()]
+        scored.append(("hmm", hmm_pred, test.targets.astype(np.int64)))
+        for method, pred, actual in scored:
+            m = eval_prediction(pred, actual)
             rows.append(
                 {
                     "method": method,
@@ -283,28 +272,10 @@ def run_fusion_benchmark(cfg: SimConfig) -> RunSummary:
                     "p_d": m.p_d,
                     "p_fa": m.p_fa,
                     "accuracy": m.accuracy,
-                    "n_evaluated": int(len(states)),
+                    "n_evaluated": int(len(actual)),
                 }
             )
-        m = eval_prediction(hmm_pred, test.targets.astype(np.int64))
-        rows.append(
-            {
-                "method": "hmm",
-                "seed": rep,
-                "p_d": m.p_d,
-                "p_fa": m.p_fa,
-                "accuracy": m.accuracy,
-                "n_evaluated": int(len(hmm_pred)),
-            }
-        )
-    aggregates = _mean_rows(rows, group=("method",), metrics=("accuracy", "p_d", "p_fa"))
-    return RunSummary(
-        scenario=cfg.scenario,
-        config=config_to_dict(cfg),
-        seeds=list(range(cfg.reps)),
-        rows=rows,
-        aggregates=aggregates,
-    )
+    return _summary(cfg, rows, ("method",), ("accuracy", "p_d", "p_fa"))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +390,7 @@ def _simulate_access(
             matrix.append(AccessRecord(su=su, channel=channel, t=t, rating=rating))
         if rewarded:
             state, a = codes[t0], a_bits(channel, t0)
-            r = reward(RewardInputs(collision=collision, a=a, b=hold_b[su]))
+            r = reward(collision, a, hold_b[su])
             if method == "q":
                 q_update(table, state, channel, r, codes[t] if t < n_slots else state)
             elif method == "mdp":
@@ -609,13 +580,14 @@ def _train_channel_elms(cfg: SimConfig, pu: np.ndarray, rep_seed: int):
     return models
 
 
-def _run_access(cfg: SimConfig, methods, k_values, located: bool, collect_events: bool):
+def _run_access(cfg: SimConfig, methods, k_values, collect_events: bool):
     """Every (repetition, K, method) run of an access scenario; (rows, events).
 
     Each repetition draws its channel traces, trains the per-channel ELM
-    advisors and, when located, places the users and builds their partner
-    lists and distance weights; every K and method then runs over those.
-    Events, when collected, are tagged with their method, K and seed.
+    advisors and, in decision-2 (located users), places the users and
+    builds their partner lists and distance weights; every K and method
+    then runs over those. Events, when collected, are tagged with their
+    method, K and seed.
     """
     rows = []
     events = [] if collect_events else None
@@ -628,7 +600,7 @@ def _run_access(cfg: SimConfig, methods, k_values, located: bool, collect_events
         pu = np.stack([tr.states for tr in traces])
         a_bits = _AdvisoryBits(cfg, pu, _train_channel_elms(cfg, pu, rep_seed))
         weights = neighbor_lists = None
-        if located:
+        if cfg.scenario == "decision-2":
             locations = place_users(
                 cfg.n_su,
                 cfg.arena_side,
@@ -669,16 +641,8 @@ def run_recommendation_benchmark(
     cfg: SimConfig, collect_events: bool = False
 ) -> RunSummary:
     """Score-guided channel choice against blind random access."""
-    rows, events = _run_access(cfg, ("cf", "random"), [cfg.k], False, collect_events)
-    aggregates = _mean_rows(rows, group=("method",), metrics=("p_collision", "d_e"))
-    return RunSummary(
-        scenario=cfg.scenario,
-        config=config_to_dict(cfg),
-        seeds=list(range(cfg.reps)),
-        rows=rows,
-        aggregates=aggregates,
-        events=events,
-    )
+    rows, events = _run_access(cfg, ("cf", "random"), [cfg.k], collect_events)
+    return _summary(cfg, rows, ("method",), ("p_collision", "d_e"), events=events)
 
 
 # ---------------------------------------------------------------------------
@@ -686,53 +650,52 @@ def run_recommendation_benchmark(
 
 
 def run_decision_scenario(
-    cfg: SimConfig, scenario: int, collect_events: bool = False
+    cfg: SimConfig, *, collect_events: bool = False
 ) -> RunSummary:
-    """Q-learning and greedy-MDP agents against random access over a K sweep."""
-    if scenario not in (1, 2):
-        raise ValueError(f"scenario must be 1 or 2, got {scenario}")
+    """Q-learning and greedy-MDP agents against random access over a K sweep.
+
+    decision-1 shares one recommendation list among all users; decision-2
+    places them and weights each rating by its author's distance.
+    """
+    if cfg.scenario not in ("decision-1", "decision-2"):
+        raise ValueError(f"not a decision scenario: {cfg.scenario!r}")
+    methods = ("q", "mdp", "random")
     k_values = list(range(cfg.k_min, cfg.k_max + 1))
-    rows, events = _run_access(
-        cfg, ("q", "mdp", "random"), k_values, scenario == 2, collect_events
+    rows, events = _run_access(cfg, methods, k_values, collect_events)
+    summary = _summary(
+        cfg, rows, ("method", "k"), ("p_collision", "d_e"), events=events
     )
-    aggregates = _mean_rows(
-        rows, group=("method", "k"), metrics=("p_collision", "d_e")
-    )
+    aggregates = summary.aggregates
+    for metric in ("p_collision", "d_e"):
+        summary.series[f"{metric}_vs_k"] = {
+            "x": k_values,
+            "x_label": "transmission length K (slots)",
+            "y_label": metric,
+            "lines": {
+                method: [aggregates[f"mean_{metric}_{method}_{k}"] for k in k_values]
+                for method in methods
+            },
+        }
     aggregates["total_success"] = int(sum(r["d_success"] for r in rows))
-    for method in ("q", "mdp", "random"):
+    for method in methods:
         aggregates[f"total_success_{method}"] = int(
             sum(r["d_success"] for r in rows if r["method"] == method)
         )
-    series = {
-        "p_collision_vs_k": _series_of(rows, k_values, "p_collision"),
-        "d_e_vs_k": _series_of(rows, k_values, "d_e"),
-    }
-    return RunSummary(
-        scenario=cfg.scenario,
-        config=config_to_dict(cfg),
-        seeds=list(range(cfg.reps)),
-        rows=rows,
-        aggregates=aggregates,
-        series=series,
-        events=events,
-    )
+    return summary
 
 
 def _metrics_row(method: str, k: int, rep: int, res: dict) -> dict:
-    dm = DecisionMetrics(
-        n_total=res["n_total"],
-        n_collision=res["n_collision"],
-        d_success=res["d_success"],
-    )
+    # rates over the counted accesses; undefined rates are None, never zero
+    n_total = res["n_total"]
     return {
         "method": method,
         "k": k,
         "seed": rep,
-        "p_collision": dm.p_collision,
-        "d_e": dm.d_e,
-        "n_total": dm.n_total,
-        "n_collision": dm.n_collision,
-        "d_success": dm.d_success,
+        "p_collision": res["n_collision"] / n_total if n_total > 0 else None,
+        "d_e": res["d_success"] / n_total if n_total > 0 else None,
+        "n_total": n_total,
+        "n_collision": res["n_collision"],
+        "d_success": res["d_success"],
     }
 
 
@@ -751,26 +714,6 @@ def _mean_rows(rows, group, metrics) -> dict:
     return out
 
 
-def _series_of(rows, k_values, metric) -> dict:
-    lines = {}
-    for method in sorted({r["method"] for r in rows}):
-        ys = []
-        for k in k_values:
-            vals = [
-                r[metric]
-                for r in rows
-                if r["method"] == method and r["k"] == k and r[metric] is not None
-            ]
-            ys.append(float(np.mean(vals)) if vals else None)
-        lines[method] = ys
-    return {
-        "x": list(k_values),
-        "x_label": "transmission length K (slots)",
-        "y_label": metric,
-        "lines": lines,
-    }
-
-
 def run_scenario(cfg: SimConfig, collect_events: bool = False) -> RunSummary:
     """Dispatch a configured scenario to its driver.
 
@@ -784,10 +727,8 @@ def run_scenario(cfg: SimConfig, collect_events: bool = False) -> RunSummary:
         return run_fusion_benchmark(cfg)
     if cfg.scenario == "recommendation":
         return run_recommendation_benchmark(cfg, collect_events=collect_events)
-    if cfg.scenario == "decision-1":
-        return run_decision_scenario(cfg, 1, collect_events=collect_events)
-    if cfg.scenario == "decision-2":
-        return run_decision_scenario(cfg, 2, collect_events=collect_events)
+    if cfg.scenario in ("decision-1", "decision-2"):
+        return run_decision_scenario(cfg, collect_events=collect_events)
     raise ValueError(f"unknown scenario {cfg.scenario!r}")
 
 

@@ -301,11 +301,15 @@ def hmm_predict(model: HmmModel, observations):
 
 @dataclass
 class PredictionMetrics:
-    """Detection/false-alarm rates plus timing comparison against a baseline.
+    """Confusion counts, detection/false-alarm rates, timing against a baseline.
 
     Metrics whose denominator is empty are None, never zero.
     """
 
+    tp: int
+    tn: int
+    fp: int
+    fn: int
     p_d: Optional[float]
     p_fa: Optional[float]
     accuracy: float
@@ -351,6 +355,10 @@ def eval_prediction(
             i_speed = (t_base - t_model) / t_base * 100.0
             d_time = t_model / t_base
     return PredictionMetrics(
+        tp=tp,
+        tn=tn,
+        fp=n_idle - tn,
+        fn=n_busy - tp,
         p_d=p_d,
         p_fa=p_fa,
         accuracy=accuracy,

@@ -11,7 +11,7 @@ list.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 
@@ -40,33 +40,30 @@ class AccessRecord:
 
 @dataclass
 class ScoreMatrix:
-    """Append-only, time-ordered log of access records.
+    """Access records, appended in time order and kept per channel.
 
-    Records are also indexed per channel (their times and a running sum of
-    their ratings) so recent-window queries inside the slot loop are two
+    Each channel keeps its records, their times and a running sum of their
+    ratings, so recent-window queries inside the slot loop are two
     bisections, in any time order.
     """
 
     n_su: int
     m_ch: int
-    records: list = field(default_factory=list)
 
     def __post_init__(self):
         self._by_channel = [[] for _ in range(self.m_ch)]
         self._times = [[] for _ in range(self.m_ch)]
         self._cum = [[0] for _ in range(self.m_ch)]  # ratings before each record
-        records, self.records = self.records, []
-        for r in records:
-            self.append(r)
+        self._last_t = float("-inf")  # time of the latest record
 
     def append(self, record: AccessRecord) -> None:
         if not 0 <= record.su < self.n_su:
             raise ValueError(f"su {record.su} out of range")
         if not 0 <= record.channel < self.m_ch:
             raise ValueError(f"channel {record.channel} out of range")
-        if self.records and record.t < self.records[-1].t:
+        if record.t < self._last_t:
             raise ValueError("records must be appended in nondecreasing time order")
-        self.records.append(record)
+        self._last_t = record.t
         ch = record.channel
         self._by_channel[ch].append(record)
         self._times[ch].append(record.t)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from crspectrum.decision import (
     MdpModel,
-    RewardInputs,
     _sorted_distinct,
     arbitrate,
     decode_env_state,
@@ -44,17 +43,17 @@ class TestEncodeEnvState:
 
 class TestReward:
     def test_paper_values(self):
-        assert reward(RewardInputs(collision=False, a=0, b=1)) == 300.0
-        assert reward(RewardInputs(collision=True, a=1, b=0)) == -100.0
-        assert reward(RewardInputs(collision=False, a=1, b=1)) == 200.0
-        assert reward(RewardInputs(collision=False, a=0, b=0)) == 200.0
-        assert reward(RewardInputs(collision=False, a=1, b=0)) == 100.0
+        assert reward(False, 0, 1) == 300.0
+        assert reward(True, 1, 0) == -100.0
+        assert reward(False, 1, 1) == 200.0
+        assert reward(False, 0, 0) == 200.0
+        assert reward(False, 1, 0) == 100.0
 
     def test_collision_negates(self):
         for a in (0, 1):
             for b in (0, 1):
-                good = reward(RewardInputs(collision=False, a=a, b=b))
-                bad = reward(RewardInputs(collision=True, a=a, b=b))
+                good = reward(False, a, b)
+                bad = reward(True, a, b)
                 assert bad == -good
 
 

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from crspectrum.channel import neighbors, place_users
 from crspectrum.config import default_config
 from crspectrum.harness import (
-    DecisionMetrics,
     _simulate_access,
     emit_outputs,
+    run_decision_scenario,
     run_scenario,
     summary_to_csv,
     summary_to_json,
@@ -98,9 +98,30 @@ class TestMetricRows:
         assert agg["total_success"] == parts
 
     def test_undefined_metrics_are_none_not_zero(self):
-        empty = DecisionMetrics(n_total=0, n_collision=0, d_success=0)
-        assert empty.p_collision is None
-        assert empty.d_e is None
+        # every access starts in the warm-up, so none is counted
+        cfg = small_config("decision-1", seed=7)
+        summary = run_scenario(replace(cfg, warmup_slots=cfg.n_slots))
+        assert all(r["n_total"] == 0 for r in summary.rows)
+        for metric in ("p_collision", "d_e"):
+            assert all(r[metric] is None for r in summary.rows)
+            means = [v for k, v in summary.aggregates.items() if metric in k]
+            assert len(means) == 6 and all(v is None for v in means)
+        header, *lines = summary_to_csv(summary).splitlines()
+        columns = header.split(",")
+        for line in lines:
+            cells = dict(zip(columns, line.split(",")))
+            assert cells["p_collision"] == cells["d_e"] == ""
+            assert cells["n_total"] == "0"
+
+
+class TestDecisionScenarioArguments:
+    def test_scenario_number_is_no_longer_an_argument(self):
+        with pytest.raises(TypeError):
+            run_decision_scenario(small_config("decision-1"), 1)
+
+    def test_rejects_a_config_of_another_scenario(self):
+        with pytest.raises(ValueError):
+            run_decision_scenario(small_config("recommendation"))
 
 
 class TestEngineInvariants:

@@ -581,13 +581,14 @@ class TestEvalPrediction:
             pred = rng.integers(0, 2, size=n)
             act = rng.integers(0, 2, size=n)
             m = eval_prediction(pred, act)
-            tp = np.sum((pred == 1) & (act == 1))
-            tn = np.sum((pred == 0) & (act == 0))
-            assert m.accuracy == (tp + tn) / n
-            if m.p_d is not None:
-                assert m.p_d == tp / np.sum(act == 1)
-            if m.p_fa is not None:
-                assert m.p_fa == 1 - tn / np.sum(act == 0)
+            assert m.tp == np.sum((pred == 1) & (act == 1))
+            assert m.tn == np.sum((pred == 0) & (act == 0))
+            assert m.fp == np.sum((pred == 1) & (act == 0))
+            assert m.tp + m.tn + m.fp + m.fn == n
+            assert m.accuracy == (m.tp + m.tn) / n
+            busy, idle = m.tp + m.fn, m.tn + m.fp
+            assert m.p_d == (m.tp / busy if busy else None)
+            assert m.p_fa == (1 - m.tn / idle if idle else None)
 
 
 class TestTransitionErrorFraction:
