@@ -27,8 +27,7 @@ ERROR_RATES = (0.1, 0.15, 0.2)
 
 def main():
     params = ChannelParams(mean_interarrival=10.0, mean_holding=10.0)
-    trace = generate_trace(params, 10000, seed=SEED)
-    states = trace.states
+    states = generate_trace(params, 10000, seed=SEED)
     bits = noisy_local_predictions(states, ERROR_RATES, seed=SEED + 1)
     rates = np.asarray(ERROR_RATES)
 

@@ -33,8 +33,7 @@ SEED = 42
 
 def main():
     params = ChannelParams(mean_interarrival=10.0, mean_holding=10.0)
-    trace = generate_trace(params, 10000, seed=SEED)
-    states = trace.states
+    states = generate_trace(params, 10000, seed=SEED)
     print(f"trace: {len(states)} slots, busy fraction {states.mean():.3f}")
 
     half = len(states) // 2

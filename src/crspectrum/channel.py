@@ -46,22 +46,6 @@ class ChannelParams:
 
 
 @dataclass(frozen=True)
-class ChannelTrace:
-    """Binary per-slot occupancy of one channel (0 idle, 1 busy)."""
-
-    states: np.ndarray  # uint8 array of 0/1, length n_slots
-    params: ChannelParams
-    seed: int
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.states)
-
-    def busy_fraction(self) -> float:
-        return float(np.mean(self.states)) if len(self.states) else 0.0
-
-
-@dataclass(frozen=True)
 class SuLocation:
     """Secondary-user position and communication radius, arena units."""
 
@@ -77,8 +61,8 @@ class SuLocation:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-def generate_trace(params: ChannelParams, n_slots: int, seed: int) -> ChannelTrace:
-    """Generate one alternating idle/busy occupancy trace.
+def generate_trace(params: ChannelParams, n_slots: int, seed: int) -> np.ndarray:
+    """One alternating occupancy trace: uint8 per slot, 0 idle, 1 busy.
 
     The channel starts idle; the first busy period begins after a geometric
     gap. Identical (params, n_slots, seed) give bit-identical traces.
@@ -87,7 +71,7 @@ def generate_trace(params: ChannelParams, n_slots: int, seed: int) -> ChannelTra
         raise ValueError(f"n_slots must be >= 0, got {n_slots}")
     states = np.zeros(n_slots, dtype=np.uint8)
     if params.always_idle or n_slots == 0:
-        return ChannelTrace(states=states, params=params, seed=seed)
+        return states
 
     rng = make_rng(seed)
     p_arrival = 1.0 / params.mean_interarrival
@@ -101,11 +85,11 @@ def generate_trace(params: ChannelParams, n_slots: int, seed: int) -> ChannelTra
         hold = int(rng.geometric(p_depart))
         states[t:t + hold] = 1
         t += hold
-    return ChannelTrace(states=states, params=params, seed=seed)
+    return states
 
 
-def generate_multi(params_list, n_slots: int, seed: int) -> list[ChannelTrace]:
-    """Generate independent traces, one per parameter set.
+def generate_multi(params_list, n_slots: int, seed: int) -> np.ndarray:
+    """Generate independent traces, one row per parameter set (M x T).
 
     Channel i uses sub-seed derive_seed(seed, i), so extending the list never
     changes the traces of earlier channels.
@@ -113,10 +97,10 @@ def generate_multi(params_list, n_slots: int, seed: int) -> list[ChannelTrace]:
     params_list = list(params_list)
     if not params_list:
         raise ValueError("params_list must be nonempty")
-    return [
+    return np.stack([
         generate_trace(params, n_slots, derive_seed(seed, i))
         for i, params in enumerate(params_list)
-    ]
+    ])
 
 
 def place_users(n: int, arena_side: float, radius: float, seed: int) -> list[SuLocation]:

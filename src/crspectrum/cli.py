@@ -15,6 +15,7 @@ from dataclasses import replace
 from .config import (
     ConfigError,
     SimConfig,
+    _parse_pairs,
     default_config,
     parse_config_text,
     validate_config,
@@ -33,27 +34,12 @@ _SCENARIO_FLAGS = {
 _FORMATS = ("json", "csv", "svg")
 
 
-def _peek_scenario(text: str):
-    """Last scenario assignment in a config file, before full parsing.
-
-    The scenario decides which defaults the remaining keys override, so it
-    must be known before the file is applied.
-    """
-    found = None
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if "=" in stripped:
-            key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key == "scenario":
-                found = raw
-    return found
-
-
 def _build_config(args, config_text) -> SimConfig:
     cli_scenario = _SCENARIO_FLAGS[args.scenario] if args.scenario else None
     scenario = cli_scenario
     if scenario is None and config_text is not None:
-        scenario = _peek_scenario(config_text)
+        # the scenario picks the defaults the file's other keys override
+        scenario = _parse_pairs(config_text).get("scenario")
     if scenario is None:
         raise ConfigError(
             "no scenario given; pass --scenario or put scenario = ... in the config file"

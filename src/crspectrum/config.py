@@ -147,8 +147,8 @@ for f in fields(SimConfig):
         _FIELD_TYPES[f.name] = str
 
 
-def parse_config_text(text: str, base: SimConfig) -> SimConfig:
-    """Apply ``key = value`` lines on top of a base configuration."""
+def _parse_pairs(text: str) -> dict:
+    """Typed values of the ``key = value`` lines; a repeated key keeps its last."""
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -160,7 +160,12 @@ def parse_config_text(text: str, base: SimConfig) -> SimConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         updates[key] = _convert(key, raw, _FIELD_TYPES[key])
-    cfg = replace(base, **updates)
+    return updates
+
+
+def parse_config_text(text: str, base: SimConfig) -> SimConfig:
+    """Apply ``key = value`` lines on top of a base configuration."""
+    cfg = replace(base, **_parse_pairs(text))
     validate_config(cfg)
     return cfg
 

@@ -1,12 +1,12 @@
 """Spectrum decision agents over the packed channel-occupancy state.
 
-The sensed per-channel states of one slot pack into an M-bit integer; a
-shared Q-table (or an empirical MDP solved by value iteration) maps that
-state to a channel choice among the currently idle candidates. Rewards
-combine the collision outcome with two advisory bits: the predicted next
-state of the chosen channel (A) and whether the channel was on the
-recommendation list (B). A random-access baseline and the central node's
-random priority arbitration live here too.
+The sensed per-channel states of one slot pack into an M-bit integer
+(``fusion.encode_state``); a shared Q-table (or an empirical MDP solved by
+value iteration) maps that state to a channel choice among the currently
+idle candidates. Rewards combine the collision outcome with two advisory
+bits: the predicted next state of the chosen channel (A) and whether the
+channel was on the recommendation list (B). A random-access baseline and
+the central node's random priority arbitration live here too.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-
-# the packed sensed state is the fusion module's bit packing
-from .fusion import decode_state as decode_env_state  # noqa: F401
-from .fusion import encode_state as encode_env_state  # noqa: F401
 
 # 2^M states must stay tabulable
 _MAX_CHANNELS = 20

@@ -53,7 +53,6 @@ from .predictors import (
     transition_error_fraction,
 )
 from .recommender import (
-    AccessRecord,
     ScoreMatrix,
     default_threshold,
     final_score,
@@ -119,10 +118,9 @@ def _rep_trace(cfg: SimConfig, rep: int):
     """Repetition rep's seed and the occupancy states of its first channel."""
     rep_seed = derive_seed(cfg.seed, rep)
     params = _channel_params(cfg, make_rng(rep_seed, _TAG_CHANNELS, 0))
-    trace = generate_trace(
+    return rep_seed, generate_trace(
         params[0], cfg.n_slots, derive_seed(rep_seed, _TAG_CHANNELS, 1)
     )
-    return rep_seed, trace.states
 
 
 def _summary(cfg: SimConfig, rows, group, metrics, **extra) -> RunSummary:
@@ -387,7 +385,7 @@ def _simulate_access(
             busy[partner[su]] = False
             partner[su] = -1
         if keeps_matrix:
-            matrix.append(AccessRecord(su=su, channel=channel, t=t, rating=rating))
+            matrix.append(su, channel, t, rating)
         if rewarded:
             state, a = codes[t0], a_bits(channel, t0)
             r = reward(collision, a, hold_b[su])
@@ -594,10 +592,9 @@ def _run_access(cfg: SimConfig, methods, k_values, collect_events: bool):
     for rep in range(cfg.reps):
         rep_seed = derive_seed(cfg.seed, rep)
         params = _channel_params(cfg, make_rng(rep_seed, _TAG_CHANNELS, 0))
-        traces = generate_multi(
+        pu = generate_multi(
             params, cfg.n_slots, derive_seed(rep_seed, _TAG_CHANNELS, 1)
         )
-        pu = np.stack([tr.states for tr in traces])
         a_bits = _AdvisoryBits(cfg, pu, _train_channel_elms(cfg, pu, rep_seed))
         weights = neighbor_lists = None
         if cfg.scenario == "decision-2":
@@ -749,25 +746,13 @@ def summary_to_json(summary: RunSummary) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-_ACCESS_COLUMNS = (
-    "method", "k", "seed", "p_collision", "d_e",
-    "n_total", "n_collision", "d_success",
-)
-_CSV_COLUMNS = {
-    "prediction": (
-        "method", "seed", "p_d", "p_fa", "accuracy", "mse",
-        "tp", "tn", "fp", "fn", "errors_near_transition",
-    ),
-    "fusion": ("method", "seed", "p_d", "p_fa", "accuracy", "n_evaluated"),
-    "recommendation": _ACCESS_COLUMNS,
-    "decision-1": _ACCESS_COLUMNS,
-    "decision-2": _ACCESS_COLUMNS,
-}
-
-
 def summary_to_csv(summary: RunSummary) -> str:
-    """One row per method x K x seed, fixed column order, sorted rows."""
-    columns = _CSV_COLUMNS[summary.scenario]
+    """One row per method x K x seed, sorted rows.
+
+    The columns are the keys of the first row, in order; every driver builds
+    its rows with one dict literal, so the order is fixed per scenario.
+    """
+    columns = list(summary.rows[0])
     lines = [",".join(columns)]
     def sort_key(row):
         return tuple(str(row.get(c, "")) for c in ("method", "k", "seed"))
@@ -791,7 +776,8 @@ def emit_outputs(
     """Write the summary to out_dir; returns the created file paths.
 
     formats is an iterable drawn from {json, csv, svg}. File names embed
-    the scenario and master seed. Unwritable paths raise OSError.
+    the scenario and master seed. A series with no defined point gets no
+    chart. Unwritable paths raise OSError.
     """
     from .svg import line_chart
 
@@ -816,14 +802,15 @@ def emit_outputs(
     if "svg" in formats:
         for name in sorted(summary.series):
             chart = summary.series[name]
-            if not chart.get("lines"):
-                continue
+            lines = chart["lines"]
+            if all(y is None for ys in lines.values() for y in ys):
+                continue  # no defined point, e.g. no access counted after warm-up
             svg_text = line_chart(
                 title=f"{summary.scenario}: {name}",
-                x_label=chart.get("x_label", "x"),
-                y_label=chart.get("y_label", "y"),
+                x_label=chart["x_label"],
+                y_label=chart["y_label"],
                 x_values=chart["x"],
-                series={k: chart["lines"][k] for k in sorted(chart["lines"])},
+                series={k: lines[k] for k in sorted(lines)},
             )
             _write(f"{base}_{name}.svg", svg_text)
     if verbose and summary.events:

@@ -37,18 +37,13 @@ class TrainingSet:
         return self.inputs.shape[1]
 
 
-def _states_of(trace) -> np.ndarray:
-    states = getattr(trace, "states", trace)
-    return np.asarray(states)
-
-
-def make_training_set(trace, window: int) -> TrainingSet:
-    """Slice a trace into (n-slot history, next slot) samples.
+def make_training_set(states, window: int) -> TrainingSet:
+    """Slice a 0/1 state trace into (n-slot history, next slot) samples.
 
     A trace of length T yields T - window samples; the trace must be longer
     than the window.
     """
-    states = _states_of(trace)
+    states = np.asarray(states)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if len(states) <= window:
@@ -246,22 +241,18 @@ class HmmModel:
     A: np.ndarray   # state transition matrix, rows sum to 1
     B: np.ndarray   # emission matrix, rows sum to 1
 
-    @property
-    def n_states(self) -> int:
-        return len(self.pi)
-
 
 _SMOOTH = 1e-6  # Laplace smoothing so unobserved rows stay stochastic
 
 
-def hmm_fit(trace, n_states: int = 2) -> HmmModel:
+def hmm_fit(states, n_states: int = 2) -> HmmModel:
     """Estimate chain parameters by counting observed state transitions.
 
     Sensed states play both roles: hidden state and observation. Emissions
     are near-identity, so decoding tracks the observations and the model's
     information lives in the transition matrix.
     """
-    states = _states_of(trace).astype(np.int64)
+    states = np.asarray(states).astype(np.int64)
     if len(states) < 2:
         raise ValueError(f"need at least 2 slots to fit, got {len(states)}")
     if states.min() < 0 or states.max() >= n_states:

@@ -24,27 +24,14 @@ def score_access(slots_transmitted: int, k: int) -> int:
     return int(slots_transmitted)
 
 
-@dataclass(frozen=True)
-class AccessRecord:
-    """One access outcome: user, channel, start slot, rating."""
-
-    su: int
-    channel: int
-    t: int
-    rating: int
-
-    def __post_init__(self):
-        if self.rating < 0:
-            raise ValueError(f"rating must be nonnegative, got {self.rating}")
-
-
 @dataclass
 class ScoreMatrix:
     """Access records, appended in time order and kept per channel.
 
-    Each channel keeps its records, their times and a running sum of their
-    ratings, so recent-window queries inside the slot loop are two
-    bisections, in any time order.
+    A record is one access outcome: user, channel, time and rating. Each
+    channel keeps its records' (su, rating) pairs, their times and a running
+    sum of their ratings, so recent-window queries inside the slot loop are
+    two bisections, in any time order.
     """
 
     n_su: int
@@ -56,18 +43,19 @@ class ScoreMatrix:
         self._cum = [[0] for _ in range(self.m_ch)]  # ratings before each record
         self._last_t = float("-inf")  # time of the latest record
 
-    def append(self, record: AccessRecord) -> None:
-        if not 0 <= record.su < self.n_su:
-            raise ValueError(f"su {record.su} out of range")
-        if not 0 <= record.channel < self.m_ch:
-            raise ValueError(f"channel {record.channel} out of range")
-        if record.t < self._last_t:
+    def append(self, su: int, channel: int, t: int, rating: int) -> None:
+        if not 0 <= su < self.n_su:
+            raise ValueError(f"su {su} out of range")
+        if not 0 <= channel < self.m_ch:
+            raise ValueError(f"channel {channel} out of range")
+        if rating < 0:
+            raise ValueError(f"rating must be nonnegative, got {rating}")
+        if t < self._last_t:
             raise ValueError("records must be appended in nondecreasing time order")
-        self._last_t = record.t
-        ch = record.channel
-        self._by_channel[ch].append(record)
-        self._times[ch].append(record.t)
-        self._cum[ch].append(self._cum[ch][-1] + record.rating)
+        self._last_t = t
+        self._by_channel[channel].append((su, rating))
+        self._times[channel].append(t)
+        self._cum[channel].append(self._cum[channel][-1] + rating)
 
     def _window(self, channel: int, now: int, window: int) -> tuple:
         """Index range of a channel's records with now - window <= t < now."""
@@ -76,7 +64,7 @@ class ScoreMatrix:
         return bisect.bisect_left(times, now - window, 0, j), j
 
     def window_records(self, channel: int, now: int, window: int) -> list:
-        """Records for a channel within the latest `window` slots before now."""
+        """(su, rating) per record of a channel in the `window` slots before now."""
         i, j = self._window(channel, now, window)
         return self._by_channel[channel][i:j]
 
@@ -120,8 +108,8 @@ def final_score_located(
     if not recs:
         return None
     total = 0.0
-    for r in recs:
-        total += r.rating * weights[r.su]
+    for su, rating in recs:
+        total += rating * weights[su]
     return total / len(recs)
 
 

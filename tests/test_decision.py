@@ -7,8 +7,6 @@ from crspectrum.decision import (
     MdpModel,
     _sorted_distinct,
     arbitrate,
-    decode_env_state,
-    encode_env_state,
     new_decision_table,
     q_update,
     random_access,
@@ -17,28 +15,6 @@ from crspectrum.decision import (
     value_iteration,
 )
 from crspectrum.seeding import make_rng
-
-
-class TestEncodeEnvState:
-    def test_all_idle(self):
-        assert encode_env_state([0] * 10) == 0
-
-    def test_first_channel_busy(self):
-        assert encode_env_state([1] + [0] * 9) == 1
-
-    def test_all_busy(self):
-        assert encode_env_state([1] * 10) == 1023
-
-    def test_bijective_exhaustive(self):
-        for m in range(1, 11):
-            for code in range(1 << m):
-                bits = [(code >> i) & 1 for i in range(m)]
-                assert encode_env_state(bits) == code
-                np.testing.assert_array_equal(decode_env_state(code, m), bits)
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            encode_env_state([0, 3])
 
 
 class TestReward:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from crspectrum.channel import ChannelParams, generate_trace
-from crspectrum.decision import decode_env_state, encode_env_state
 from crspectrum.fusion import (
     FusionQTable,
     decode_state,
@@ -27,12 +26,6 @@ class TestEncodeState:
         assert encode_state([0] * 10) == 0
         assert encode_state([1] + [0] * 9) == 1
         assert encode_state([1] * 10) == 1023
-
-    def test_decision_state_packing_is_this_function(self):
-        # the decision stage packs channel states with these very functions,
-        # so every test in this class covers its names too
-        assert encode_env_state is encode_state
-        assert decode_env_state is decode_state
 
     def test_bijective_exhaustive(self):
         # brute-force oracle: binary string with user 0 least significant
@@ -200,8 +193,8 @@ class TestBatchEqualsRows:
     def test_fusion_scenario_inputs(self):
         # the three-user inputs the fusion scenario builds
         rates = np.array([0.1, 0.15, 0.2])
-        tr = generate_trace(ChannelParams(10.0, 10.0), 3000, seed=8)
-        bits = noisy_local_predictions(tr.states, rates, seed=9)
+        states = generate_trace(ChannelParams(10.0, 10.0), 3000, seed=8)
+        bits = noisy_local_predictions(states, rates, seed=9)
         for m in (1, 2, 3):
             assert m_out_of_n(bits, m).tolist() == [
                 _m_out_of_n_reference(b, m) for b in bits
@@ -253,30 +246,30 @@ def _bayes_actions(error_rates, p_busy):
 class TestTrainFusion:
     def test_converges_to_bayes_rule(self):
         rates = [0.1, 0.15, 0.2]
-        tr = generate_trace(ChannelParams(10.0, 10.0), 10000, seed=30)
-        bits = noisy_local_predictions(tr.states, rates, seed=31)
-        table = train_fusion(bits, tr.states, seed=32)
+        states = generate_trace(ChannelParams(10.0, 10.0), 10000, seed=30)
+        bits = noisy_local_predictions(states, rates, seed=31)
+        table = train_fusion(bits, states, seed=32)
         policy = greedy_actions(table)
-        oracle = _bayes_actions(rates, p_busy=float(np.mean(tr.states)))
+        oracle = _bayes_actions(rates, p_busy=float(np.mean(states)))
         assert np.sum(policy == oracle) >= 7
 
     def test_determinism(self):
-        tr = generate_trace(ChannelParams(10.0, 10.0), 2000, seed=33)
-        bits = noisy_local_predictions(tr.states, [0.1, 0.2], seed=34)
-        a = train_fusion(bits, tr.states, seed=35)
-        b = train_fusion(bits, tr.states, seed=35)
+        states = generate_trace(ChannelParams(10.0, 10.0), 2000, seed=33)
+        bits = noisy_local_predictions(states, [0.1, 0.2], seed=34)
+        a = train_fusion(bits, states, seed=35)
+        b = train_fusion(bits, states, seed=35)
         np.testing.assert_array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("seed", [40, 41])
     @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
     @pytest.mark.parametrize("n_users", [1, 2, 3, 4])
     def test_matches_inline_loop_bit_for_bit(self, n_users, epsilon, seed):
-        tr = generate_trace(ChannelParams(6.0, 4.0), 1500, seed=seed)
+        states = generate_trace(ChannelParams(6.0, 4.0), 1500, seed=seed)
         rates = [0.1, 0.3, 0.2, 0.45][:n_users]
-        bits = noisy_local_predictions(tr.states, rates, seed=seed + 100)
+        bits = noisy_local_predictions(states, rates, seed=seed + 100)
         kw = dict(gamma=0.7, r_p=2.0, r_n=-0.5, epsilon=epsilon)
-        got = train_fusion(bits, tr.states, seed + 200, **kw)
-        want = _reference_train_fusion(bits, tr.states, seed + 200, **kw)
+        got = train_fusion(bits, states, seed + 200, **kw)
+        want = _reference_train_fusion(bits, states, seed + 200, **kw)
         np.testing.assert_array_equal(
             got.values.view(np.uint64), want.values.view(np.uint64)
         )
@@ -336,15 +329,15 @@ def _reference_train_fusion(local_bits, actual, seed, gamma, r_p, r_n, epsilon):
 
 class TestNoisyLocalPredictions:
     def test_error_rates_realized(self):
-        tr = generate_trace(ChannelParams(10.0, 10.0), 20000, seed=36)
+        states = generate_trace(ChannelParams(10.0, 10.0), 20000, seed=36)
         rates = [0.1, 0.15, 0.2]
-        bits = noisy_local_predictions(tr.states, rates, seed=37)
+        bits = noisy_local_predictions(states, rates, seed=37)
         for i, e in enumerate(rates):
-            observed = np.mean(bits[:, i] != tr.states)
+            observed = np.mean(bits[:, i] != states)
             assert abs(observed - e) < 0.01
 
     def test_zero_error_is_truth(self):
-        tr = generate_trace(ChannelParams(5.0, 5.0), 1000, seed=38)
-        bits = noisy_local_predictions(tr.states, [0.0], seed=39)
-        np.testing.assert_array_equal(bits[:, 0], tr.states)
+        states = generate_trace(ChannelParams(5.0, 5.0), 1000, seed=38)
+        bits = noisy_local_predictions(states, [0.0], seed=39)
+        np.testing.assert_array_equal(bits[:, 0], states)
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from crspectrum.channel import SuLocation
 from crspectrum.recommender import (
-    AccessRecord,
     ScoreMatrix,
     default_threshold,
     final_score,
@@ -35,30 +34,31 @@ class TestScoreAccess:
 class TestScoreMatrix:
     def test_append_and_window(self):
         m = ScoreMatrix(n_su=2, m_ch=3)
-        m.append(AccessRecord(su=0, channel=1, t=5, rating=3))
-        m.append(AccessRecord(su=1, channel=1, t=9, rating=2))
-        m.append(AccessRecord(su=0, channel=2, t=9, rating=4))
+        m.append(su=0, channel=1, t=5, rating=3)
+        m.append(su=1, channel=1, t=9, rating=2)
+        m.append(su=0, channel=2, t=9, rating=4)
         # window [now-L, now) = [4, 14): both channel-1 records inside
-        recs = m.window_records(channel=1, now=14, window=10)
-        assert [r.rating for r in recs] == [3, 2]
+        assert m.window_records(channel=1, now=14, window=10) == [(0, 3), (1, 2)]
         # shrink the window so only the later record stays
-        recs = m.window_records(channel=1, now=10, window=2)
-        assert [r.rating for r in recs] == [2]
+        assert m.window_records(channel=1, now=10, window=2) == [(1, 2)]
 
     def test_time_order_enforced(self):
         m = ScoreMatrix(n_su=1, m_ch=1)
-        m.append(AccessRecord(su=0, channel=0, t=5, rating=1))
+        m.append(su=0, channel=0, t=5, rating=1)
         with pytest.raises(ValueError):
-            m.append(AccessRecord(su=0, channel=0, t=4, rating=1))
+            m.append(su=0, channel=0, t=4, rating=1)
 
     def test_index_range(self):
         m = ScoreMatrix(n_su=1, m_ch=1)
         with pytest.raises(ValueError):
-            m.append(AccessRecord(su=1, channel=0, t=0, rating=0))
+            m.append(su=1, channel=0, t=0, rating=0)
+        with pytest.raises(ValueError):
+            m.append(su=0, channel=1, t=0, rating=0)
 
     def test_negative_rating_rejected(self):
+        m = ScoreMatrix(n_su=1, m_ch=1)
         with pytest.raises(ValueError):
-            AccessRecord(su=0, channel=0, t=0, rating=-1)
+            m.append(su=0, channel=0, t=0, rating=-1)
 
 
 def _matrix_with(ratings_at):
@@ -67,7 +67,7 @@ def _matrix_with(ratings_at):
     m_ch = max(r[2] for r in ratings_at) + 1
     m = ScoreMatrix(n_su=n_su, m_ch=m_ch)
     for t, su, ch, rating in sorted(ratings_at):
-        m.append(AccessRecord(su=su, channel=ch, t=t, rating=rating))
+        m.append(su, ch, t, rating)
     return m
 
 
@@ -170,25 +170,28 @@ class TestWindowQueriesMatchBruteForce:
         t = 0
         for su, ch, step, rating in log:
             t += step
-            appended.append(AccessRecord(su=su, channel=ch, t=t, rating=rating))
-            m.append(appended[-1])
+            appended.append((su, ch, t, rating))
+            m.append(su, ch, t, rating)
         locs = [SuLocation(x, y, 5.0) for x, y in xy]
         row = _weights_for(locs, 0)
         for ch, now, window in asked:
-            want = [r for r in appended if r.channel == ch and now - window <= r.t < now]
+            want = [
+                (su, rating) for su, c, t, rating in appended
+                if c == ch and now - window <= t < now
+            ]
             assert m.window_records(ch, now, window) == want
             assert m.window_total(ch, now, window) == (
-                sum(r.rating for r in want), len(want)
+                sum(rating for _, rating in want), len(want)
             )
             plain = final_score(m, ch, now=now, window=window)
             located = final_score_located(m, ch, row, now=now, window=window)
             if not want:
                 assert plain is None and located is None
                 continue
-            assert plain == sum(r.rating for r in want) / len(want)
+            assert plain == sum(rating for _, rating in want) / len(want)
             weighted = 0.0
-            for r in want:
-                weighted += r.rating * math.exp(-locs[0].distance_to(locs[r.su]))
+            for su, rating in want:
+                weighted += rating * math.exp(-locs[0].distance_to(locs[su]))
             assert located == weighted / len(want)
 
 
