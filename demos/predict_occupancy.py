@@ -65,7 +65,7 @@ def main():
         near = transition_error_fraction(pred, actual)
         near_s = f"{near:.2f}" if near is not None else "n/a"
         print(
-            f"{name:6s} {m.p_d:6.3f} {m.p_fa:6.3f} {m.accuracy:6.3f} "
+            f"{name:6s} {m['p_d']:6.3f} {m['p_fa']:6.3f} {m['accuracy']:6.3f} "
             f"{t_train * 1000:8.1f}ms {near_s:>17s}"
         )
     print(

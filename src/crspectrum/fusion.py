@@ -11,7 +11,6 @@ gives one int, a 2-d array one int64 result per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,20 +48,9 @@ def decode_state(code: int, n_bits: int) -> np.ndarray:
     return (code >> np.arange(n_bits, dtype=np.int64)) & 1
 
 
-@dataclass
-class FusionQTable:
-    """State-action values over packed prediction vectors."""
-
-    values: np.ndarray  # 2^N x 2
-
-    @property
-    def n_states(self) -> int:
-        return self.values.shape[0]
-
-
-def greedy_actions(table: FusionQTable) -> np.ndarray:
-    """Per-state greedy action, ties toward idle."""
-    return np.argmax(table.values, axis=1)
+def greedy_actions(values: np.ndarray) -> np.ndarray:
+    """Per-state greedy action of a 2^N x 2 value array, ties toward idle."""
+    return np.argmax(values, axis=1)
 
 
 def train_fusion(
@@ -73,16 +61,18 @@ def train_fusion(
     r_p: float = 1.0,
     r_n: float = -1.0,
     epsilon: float = 0.1,
-) -> FusionQTable:
+) -> np.ndarray:
     """Run the fusion learner over a full trace of local predictions.
 
-    local_bits is T x N. Each step acts epsilon-greedily on the pre-update
-    table (uniform with probability epsilon, else greedy with ties toward
-    idle) and moves Q(state, action) toward r_p for a call that matches the
-    realized state (r_n otherwise) plus gamma times the best next value.
-    Exploration decays linearly from epsilon to zero over the first half of
-    the run; the learning rate for each (state, action) is 1/visit-count,
-    which settles the greedy policy on the empirically best action per state.
+    local_bits is T x N; the result is the 2^N x 2 array of state-action
+    values over packed prediction vectors. Each step acts epsilon-greedily
+    on the pre-update table (uniform with probability epsilon, else greedy
+    with ties toward idle) and moves Q(state, action) toward r_p for a call
+    that matches the realized state (r_n otherwise) plus gamma times the
+    best next value. Exploration decays linearly from epsilon to zero over
+    the first half of the run; the learning rate for each (state, action) is
+    1/visit-count, which settles the greedy policy on the empirically best
+    action per state.
     """
     local_bits = np.asarray(local_bits, dtype=np.int64)
     actual = np.asarray(actual, dtype=np.int64)
@@ -114,7 +104,7 @@ def train_fusion(
         r = r_p if action == actual[t] else r_n
         target = r + gamma * float(np.max(values[int(codes[t + 1])]))
         values[s, action] += lr * (target - values[s, action])
-    return FusionQTable(values=values)
+    return values
 
 
 def m_out_of_n(preds, m: int):

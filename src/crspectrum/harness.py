@@ -139,7 +139,7 @@ def _summary(cfg: SimConfig, rows, group, metrics, **extra) -> RunSummary:
 # prediction benchmark
 
 
-def run_prediction_benchmark(cfg: SimConfig) -> RunSummary:
+def _run_prediction(cfg: SimConfig) -> RunSummary:
     """Train the three predictors on the first half of a trace, score the rest."""
     rows = []
     timings = {}
@@ -178,27 +178,15 @@ def run_prediction_benchmark(cfg: SimConfig) -> RunSummary:
             "hmm": (pred_hmm, None, t_hmm),
         }
         for method, (pred, raw, t_train) in per_method.items():
-            m = eval_prediction(pred, actual, train_times=(t_train, t_bp), raw=raw)
-            near = transition_error_fraction(pred, actual)
             rows.append(
                 {
                     "method": method,
                     "seed": rep,
-                    "p_d": m.p_d,
-                    "p_fa": m.p_fa,
-                    "accuracy": m.accuracy,
-                    "mse": m.mse,
-                    "tp": m.tp,
-                    "tn": m.tn,
-                    "fp": m.fp,
-                    "fn": m.fn,
-                    "errors_near_transition": near,
+                    **eval_prediction(pred, actual, raw=raw),
+                    "errors_near_transition": transition_error_fraction(pred, actual),
                 }
             )
             timings[f"{method}_train_s_rep{rep}"] = t_train
-            if m.i_speed is not None:
-                timings[f"{method}_i_speed_rep{rep}"] = m.i_speed
-                timings[f"{method}_d_time_rep{rep}"] = m.d_time
         for j, w in enumerate(sweep_windows):
             tr_w = make_training_set(states[:half], w)
             te_w = make_training_set(states[half - w:], w)
@@ -224,7 +212,7 @@ def run_prediction_benchmark(cfg: SimConfig) -> RunSummary:
 # fusion benchmark
 
 
-def run_fusion_benchmark(cfg: SimConfig) -> RunSummary:
+def _run_fusion(cfg: SimConfig) -> RunSummary:
     """Q-fusion against hard voting, soft combining, and a Markov baseline."""
     rows = []
     rates = np.asarray(cfg.error_rates, dtype=np.float64)
@@ -232,7 +220,7 @@ def run_fusion_benchmark(cfg: SimConfig) -> RunSummary:
         rep_seed, states = _rep_trace(cfg, rep)
         states = states.astype(np.int64)
         bits = noisy_local_predictions(states, rates, derive_seed(rep_seed, _TAG_NOISE))
-        table = train_fusion(
+        values = train_fusion(
             bits,
             states,
             derive_seed(rep_seed, _TAG_FUSION),
@@ -241,7 +229,7 @@ def run_fusion_benchmark(cfg: SimConfig) -> RunSummary:
             r_n=cfg.r_n,
             epsilon=cfg.epsilon,
         )
-        policy = greedy_actions(table)
+        policy = greedy_actions(values)
         preds = {"q_fusion": policy[encode_state(bits)]}
         n = bits.shape[1]
         for m in range(1, n + 1):
@@ -267,9 +255,9 @@ def run_fusion_benchmark(cfg: SimConfig) -> RunSummary:
                 {
                     "method": method,
                     "seed": rep,
-                    "p_d": m.p_d,
-                    "p_fa": m.p_fa,
-                    "accuracy": m.accuracy,
+                    "p_d": m["p_d"],
+                    "p_fa": m["p_fa"],
+                    "accuracy": m["accuracy"],
                     "n_evaluated": int(len(actual)),
                 }
             )
@@ -578,15 +566,25 @@ def _train_channel_elms(cfg: SimConfig, pu: np.ndarray, rep_seed: int):
     return models
 
 
-def _run_access(cfg: SimConfig, methods, k_values, collect_events: bool):
-    """Every (repetition, K, method) run of an access scenario; (rows, events).
+def _run_access(cfg: SimConfig, collect_events: bool) -> RunSummary:
+    """Every (repetition, K, method) run of an access scenario.
 
-    Each repetition draws its channel traces, trains the per-channel ELM
-    advisors and, in decision-2 (located users), places the users and
+    recommendation runs score-guided choice against random access at one
+    K; the decision scenarios run Q-learning and greedy-MDP agents against
+    random access over a K sweep, decision-1 sharing one recommendation
+    list among all users and decision-2 weighting each rating by its
+    author's distance. Each repetition draws its channel traces, trains
+    the per-channel ELM advisors and, in decision-2, places the users and
     builds their partner lists and distance weights; every K and method
     then runs over those. Events, when collected, are tagged with their
     method, K and seed.
     """
+    if cfg.scenario == "recommendation":
+        methods, k_values, group = ("cf", "random"), [cfg.k], ("method",)
+    else:
+        methods = ("q", "mdp", "random")
+        k_values = list(range(cfg.k_min, cfg.k_max + 1))
+        group = ("method", "k")
     rows = []
     events = [] if collect_events else None
     for rep in range(cfg.reps):
@@ -627,41 +625,9 @@ def _run_access(cfg: SimConfig, methods, k_values, collect_events: bool):
                 if events is not None:
                     for ev in res["events"]:
                         events.append({"method": method, "k": k, "seed": rep, **ev})
-    return rows, events
-
-
-# ---------------------------------------------------------------------------
-# recommendation benchmark
-
-
-def run_recommendation_benchmark(
-    cfg: SimConfig, collect_events: bool = False
-) -> RunSummary:
-    """Score-guided channel choice against blind random access."""
-    rows, events = _run_access(cfg, ("cf", "random"), [cfg.k], collect_events)
-    return _summary(cfg, rows, ("method",), ("p_collision", "d_e"), events=events)
-
-
-# ---------------------------------------------------------------------------
-# decision scenarios
-
-
-def run_decision_scenario(
-    cfg: SimConfig, *, collect_events: bool = False
-) -> RunSummary:
-    """Q-learning and greedy-MDP agents against random access over a K sweep.
-
-    decision-1 shares one recommendation list among all users; decision-2
-    places them and weights each rating by its author's distance.
-    """
-    if cfg.scenario not in ("decision-1", "decision-2"):
-        raise ValueError(f"not a decision scenario: {cfg.scenario!r}")
-    methods = ("q", "mdp", "random")
-    k_values = list(range(cfg.k_min, cfg.k_max + 1))
-    rows, events = _run_access(cfg, methods, k_values, collect_events)
-    summary = _summary(
-        cfg, rows, ("method", "k"), ("p_collision", "d_e"), events=events
-    )
+    summary = _summary(cfg, rows, group, ("p_collision", "d_e"), events=events)
+    if cfg.scenario == "recommendation":
+        return summary
     aggregates = summary.aggregates
     for metric in ("p_collision", "d_e"):
         summary.series[f"{metric}_vs_k"] = {
@@ -719,13 +685,11 @@ def run_scenario(cfg: SimConfig, collect_events: bool = False) -> RunSummary:
     slot-level decisions and ignore it.
     """
     if cfg.scenario == "prediction":
-        return run_prediction_benchmark(cfg)
+        return _run_prediction(cfg)
     if cfg.scenario == "fusion":
-        return run_fusion_benchmark(cfg)
-    if cfg.scenario == "recommendation":
-        return run_recommendation_benchmark(cfg, collect_events=collect_events)
-    if cfg.scenario in ("decision-1", "decision-2"):
-        return run_decision_scenario(cfg, collect_events=collect_events)
+        return _run_fusion(cfg)
+    if cfg.scenario in ("recommendation", "decision-1", "decision-2"):
+        return _run_access(cfg, collect_events)
     raise ValueError(f"unknown scenario {cfg.scenario!r}")
 
 
@@ -750,7 +714,8 @@ def summary_to_csv(summary: RunSummary) -> str:
     """One row per method x K x seed, sorted rows.
 
     The columns are the keys of the first row, in order; every driver builds
-    its rows with one dict literal, so the order is fixed per scenario.
+    its rows with one dict literal (eval_prediction's metrics keep a fixed
+    order), so the order is fixed per scenario.
     """
     columns = list(summary.rows[0])
     lines = [",".join(columns)]

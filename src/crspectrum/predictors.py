@@ -243,9 +243,10 @@ class HmmModel:
 
 
 _SMOOTH = 1e-6  # Laplace smoothing so unobserved rows stay stochastic
+_HMM_STATES = 2  # idle and busy
 
 
-def hmm_fit(states, n_states: int = 2) -> HmmModel:
+def hmm_fit(states) -> HmmModel:
     """Estimate chain parameters by counting observed state transitions.
 
     Sensed states play both roles: hidden state and observation. Emissions
@@ -255,14 +256,14 @@ def hmm_fit(states, n_states: int = 2) -> HmmModel:
     states = np.asarray(states).astype(np.int64)
     if len(states) < 2:
         raise ValueError(f"need at least 2 slots to fit, got {len(states)}")
-    if states.min() < 0 or states.max() >= n_states:
+    if states.min() < 0 or states.max() >= _HMM_STATES:
         raise ValueError("trace contains states outside the model space")
-    counts = np.full((n_states, n_states), _SMOOTH)
+    counts = np.full((_HMM_STATES, _HMM_STATES), _SMOOTH)
     np.add.at(counts, (states[:-1], states[1:]), 1.0)
     A = counts / counts.sum(axis=1, keepdims=True)
-    occ = np.bincount(states, minlength=n_states).astype(np.float64) + _SMOOTH
+    occ = np.bincount(states, minlength=_HMM_STATES).astype(np.float64) + _SMOOTH
     pi = occ / occ.sum()
-    B = np.eye(n_states) + _SMOOTH
+    B = np.eye(_HMM_STATES) + _SMOOTH
     B = B / B.sum(axis=1, keepdims=True)
     return HmmModel(pi=pi, A=A, B=B)
 
@@ -290,36 +291,16 @@ def hmm_predict(model: HmmModel, observations):
     return int(pred[0]) if obs.ndim == 1 else pred
 
 
-@dataclass
-class PredictionMetrics:
-    """Confusion counts, detection/false-alarm rates, timing against a baseline.
-
-    Metrics whose denominator is empty are None, never zero.
-    """
-
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-    p_d: Optional[float]
-    p_fa: Optional[float]
-    accuracy: float
-    mse: Optional[float]
-    train_time: Optional[float]
-    i_speed: Optional[float]  # percent speedup of this model over the baseline
-    d_time: Optional[float]   # train-time ratio, this model / baseline
-
-
 def eval_prediction(
     predicted: Sequence[int],
     actual: Sequence[int],
-    train_times: Optional[tuple] = None,
     raw: Optional[Sequence[float]] = None,
-) -> PredictionMetrics:
+) -> dict:
     """Score thresholded predictions against the realized states.
 
-    train_times, when given, is (this model's seconds, baseline seconds);
-    raw, when given, feeds the MSE term.
+    Returns p_d, p_fa, accuracy, mse, tp, tn, fp, fn in that order; a rate
+    whose denominator is empty is None, never zero, and mse is None unless
+    raw predictions are given.
     """
     pred = np.asarray(predicted, dtype=np.int64)
     act = np.asarray(actual, dtype=np.int64)
@@ -329,35 +310,22 @@ def eval_prediction(
     tn = int(np.sum((pred == 0) & (act == 0)))
     n_busy = int(np.sum(act == 1))
     n_idle = int(np.sum(act == 0))
-    p_d = tp / n_busy if n_busy > 0 else None
-    p_fa = 1.0 - tn / n_idle if n_idle > 0 else None
-    accuracy = (tp + tn) / len(act)
     mse = None
     if raw is not None:
         raw_arr = np.asarray(raw, dtype=np.float64)
         if raw_arr.shape != act.shape:
             raise ValueError("raw predictions must match actual in length")
         mse = float(np.mean((raw_arr - act) ** 2))
-    train_time = i_speed = d_time = None
-    if train_times is not None:
-        t_model, t_base = train_times
-        train_time = float(t_model)
-        if t_base is not None and t_base > 0:
-            i_speed = (t_base - t_model) / t_base * 100.0
-            d_time = t_model / t_base
-    return PredictionMetrics(
-        tp=tp,
-        tn=tn,
-        fp=n_idle - tn,
-        fn=n_busy - tp,
-        p_d=p_d,
-        p_fa=p_fa,
-        accuracy=accuracy,
-        mse=mse,
-        train_time=train_time,
-        i_speed=i_speed,
-        d_time=d_time,
-    )
+    return {
+        "p_d": tp / n_busy if n_busy > 0 else None,
+        "p_fa": 1.0 - tn / n_idle if n_idle > 0 else None,
+        "accuracy": (tp + tn) / len(act),
+        "mse": mse,
+        "tp": tp,
+        "tn": tn,
+        "fp": n_idle - tn,
+        "fn": n_busy - tp,
+    }
 
 
 def transition_error_fraction(predicted, actual) -> Optional[float]:

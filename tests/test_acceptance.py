@@ -15,8 +15,6 @@ from crspectrum.config import default_config
 from crspectrum.decision import MdpModel, value_iteration
 from crspectrum.fusion import decode_state, encode_state
 from crspectrum.harness import (
-    run_fusion_benchmark,
-    run_recommendation_benchmark,
     run_scenario,
     summary_to_csv,
     summary_to_json,
@@ -172,7 +170,7 @@ def test_criterion_04_bp_gradient_check():
 
 def test_criterion_05_fusion_optimality():
     cfg = default_config("fusion")  # 3 users, error rates 0.1/0.15/0.2, 1e4 slots
-    summary = run_fusion_benchmark(cfg)
+    summary = run_scenario(cfg)
     acc = {
         row["method"]: row["accuracy"]
         for row in summary.rows
@@ -246,7 +244,7 @@ def test_criterion_07_value_iteration():
 def test_criterion_08_recommendation_benefit():
     t0 = time.perf_counter()
     cfg = default_config("recommendation")  # 5 channels, last idle, 10 reps
-    summary = run_recommendation_benchmark(cfg)
+    summary = run_scenario(cfg)
     elapsed = time.perf_counter() - t0
     agg = summary.aggregates
     pc_cf, pc_rnd = agg["mean_p_collision_cf"], agg["mean_p_collision_random"]

@@ -26,3 +26,12 @@ def test_fuse_predictions_runs(capsys):
     out = capsys.readouterr().out
     assert "learned fusion" in out
     assert "learned policy agrees with the majority vote" in out
+
+
+def test_predict_occupancy_runs(monkeypatch, tmp_path, capsys):
+    demo = _load(next(p for p in DEMOS if p.stem == "predict_occupancy"))
+    monkeypatch.setattr(demo, "OUT_DIR", str(tmp_path))
+    demo.main()
+    out = capsys.readouterr().out
+    assert "window sweep: test mse minimal at" in out
+    assert (tmp_path / "prediction_window_sweep.svg").is_file()

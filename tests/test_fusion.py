@@ -6,7 +6,6 @@ from hypothesis.extra import numpy as hnp
 
 from crspectrum.channel import ChannelParams, generate_trace
 from crspectrum.fusion import (
-    FusionQTable,
     decode_state,
     encode_state,
     greedy_actions,
@@ -248,8 +247,8 @@ class TestTrainFusion:
         rates = [0.1, 0.15, 0.2]
         states = generate_trace(ChannelParams(10.0, 10.0), 10000, seed=30)
         bits = noisy_local_predictions(states, rates, seed=31)
-        table = train_fusion(bits, states, seed=32)
-        policy = greedy_actions(table)
+        values = train_fusion(bits, states, seed=32)
+        policy = greedy_actions(values)
         oracle = _bayes_actions(rates, p_busy=float(np.mean(states)))
         assert np.sum(policy == oracle) >= 7
 
@@ -258,7 +257,7 @@ class TestTrainFusion:
         bits = noisy_local_predictions(states, [0.1, 0.2], seed=34)
         a = train_fusion(bits, states, seed=35)
         b = train_fusion(bits, states, seed=35)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("seed", [40, 41])
     @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
@@ -270,19 +269,17 @@ class TestTrainFusion:
         kw = dict(gamma=0.7, r_p=2.0, r_n=-0.5, epsilon=epsilon)
         got = train_fusion(bits, states, seed + 200, **kw)
         want = _reference_train_fusion(bits, states, seed + 200, **kw)
-        np.testing.assert_array_equal(
-            got.values.view(np.uint64), want.values.view(np.uint64)
-        )
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_visit_count_learning_rates(self):
         # one user that always reports idle, no exploration, gamma 0: both
         # steps pick idle in state 0, learning at 1 (Q = r_p = 4) and then
         # at 1/2 toward the mismatch reward (Q = 4 + (2 - 4) / 2 = 3)
         bits = np.zeros((3, 1), dtype=np.int64)
-        table = train_fusion(
+        values = train_fusion(
             bits, [0, 1, 0], seed=0, gamma=0.0, r_p=4.0, r_n=2.0, epsilon=0.0
         )
-        assert table.values.tolist() == [[3.0, 0.0], [0.0, 0.0]]
+        assert values.tolist() == [[3.0, 0.0], [0.0, 0.0]]
 
     @pytest.mark.parametrize(
         "n_users, kw, message",
@@ -307,10 +304,10 @@ def _reference_train_fusion(local_bits, actual, seed, gamma, r_p, r_n, epsilon):
     local_bits = np.asarray(local_bits, dtype=np.int64)
     actual = np.asarray(actual, dtype=np.int64)
     T, n_users = local_bits.shape
-    table = FusionQTable(values=np.zeros((1 << n_users, 2)))
+    values = np.zeros((1 << n_users, 2))
     rng = make_rng(seed)
     codes = local_bits @ (1 << np.arange(n_users, dtype=np.int64))
-    visits = np.zeros((table.n_states, 2), dtype=np.int64)
+    visits = np.zeros(values.shape, dtype=np.int64)
     half = (T - 1) / 2.0
     for t in range(T - 1):
         eps_t = epsilon * max(0.0, 1.0 - t / half)
@@ -318,13 +315,13 @@ def _reference_train_fusion(local_bits, actual, seed, gamma, r_p, r_n, epsilon):
         if eps_t > 0 and rng.random() < eps_t:
             action = int(rng.integers(0, 2))
         else:
-            action = int(np.argmax(table.values[s]))
+            action = int(np.argmax(values[s]))
         visits[s, action] += 1
         lr = 1.0 / visits[s, action]
         r = r_p if action == actual[t] else r_n
-        target = r + gamma * float(np.max(table.values[s_next]))
-        table.values[s, action] += lr * (target - table.values[s, action])
-    return table
+        target = r + gamma * float(np.max(values[s_next]))
+        values[s, action] += lr * (target - values[s, action])
+    return values
 
 
 class TestNoisyLocalPredictions:

@@ -13,7 +13,6 @@ from crspectrum.config import default_config
 from crspectrum.harness import (
     _simulate_access,
     emit_outputs,
-    run_decision_scenario,
     run_scenario,
     summary_to_csv,
     summary_to_json,
@@ -114,14 +113,10 @@ class TestMetricRows:
             assert cells["n_total"] == "0"
 
 
-class TestDecisionScenarioArguments:
-    def test_scenario_number_is_no_longer_an_argument(self):
-        with pytest.raises(TypeError):
-            run_decision_scenario(small_config("decision-1"), 1)
-
-    def test_rejects_a_config_of_another_scenario(self):
-        with pytest.raises(ValueError):
-            run_decision_scenario(small_config("recommendation"))
+class TestDispatch:
+    def test_rejects_an_unknown_scenario(self):
+        with pytest.raises(ValueError, match="unknown scenario 'bogus'"):
+            run_scenario(replace(small_config("decision-1"), scenario="bogus"))
 
 
 class TestEngineInvariants:
