@@ -63,14 +63,8 @@ class SimConfig:
 
 
 _SCENARIO_DEFAULTS = {
-    "prediction": dict(
-        n_su=1, n_channels=1, n_slots=10000,
-        mean_holding=10.0, mean_interarrival=10.0,
-    ),
-    "fusion": dict(
-        n_su=3, n_channels=1, n_slots=10000,
-        mean_holding=10.0, mean_interarrival=10.0,
-    ),
+    "prediction": dict(n_su=1, n_channels=1, n_slots=10000),
+    "fusion": dict(n_su=3, n_channels=1, n_slots=10000),
     "recommendation": dict(
         n_su=10, n_channels=5, n_slots=1000, k=3, t=3,
         holding_range=(1.0, 10.0), interarrival_range=(10.0, 20.0),

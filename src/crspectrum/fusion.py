@@ -75,7 +75,7 @@ def train_fusion(
     action per state.
     """
     local_bits = np.asarray(local_bits, dtype=np.int64)
-    actual = np.asarray(actual, dtype=np.int64)
+    actual = np.asarray(actual, dtype=np.int64).tolist()
     if local_bits.ndim != 2 or local_bits.shape[0] != len(actual):
         raise ValueError("local_bits must be T x N aligned with actual")
     T, n_users = local_bits.shape
@@ -87,24 +87,26 @@ def train_fusion(
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
     if not 0 <= epsilon <= 1:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    values = np.zeros((1 << n_users, 2))
+    # flat lists indexed 2 * state + action: numpy scalar access costs more
+    q = [0.0] * (2 << n_users)
+    visits = [0] * (2 << n_users)
     rng = make_rng(seed)
-    codes = encode_state(local_bits)
-    visits = np.zeros(values.shape, dtype=np.int64)
+    base = (2 * encode_state(local_bits)).tolist()  # each slot's (state, idle)
     half = (T - 1) / 2.0
     for t in range(T - 1):
-        s = int(codes[t])
+        s = base[t]
         eps_t = epsilon * max(0.0, 1.0 - t / half)
         if eps_t > 0 and rng.random() < eps_t:
             action = int(rng.integers(0, 2))
         else:
-            action = int(np.argmax(values[s]))
-        visits[s, action] += 1
-        lr = 1.0 / visits[s, action]
+            action = 1 if q[s + 1] > q[s] else 0
+        i = s + action
+        visits[i] += 1
         r = r_p if action == actual[t] else r_n
-        target = r + gamma * float(np.max(values[int(codes[t + 1])]))
-        values[s, action] += lr * (target - values[s, action])
-    return values
+        nxt = base[t + 1]
+        target = r + gamma * max(q[nxt], q[nxt + 1])
+        q[i] += (1.0 / visits[i]) * (target - q[i])
+    return np.array(q).reshape(-1, 2)
 
 
 def m_out_of_n(preds, m: int):

@@ -156,11 +156,10 @@ def bp_loss(model: BpModel, X: np.ndarray, T: np.ndarray) -> float:
     return float(np.mean((y - T) ** 2))
 
 
-def _bp_backward(h, y, w2, X, T):
-    # analytic gradients of mean squared error from the forward pass (h, y);
-    # validated against central finite differences in the test suite
-    S = X.shape[0]
-    g_out = (2.0 / S) * (y - T) * y * (1.0 - y)      # S
+def _bp_backward(h, y, w2, X, T, weights):
+    # analytic gradients of sum_i weights_i (y_i - T_i)^2 from the forward pass
+    # (h, y); validated against central finite differences in the test suite
+    g_out = 2.0 * weights * (y - T) * y * (1.0 - y)  # S
     gw2 = h.T @ g_out                                 # L
     gb2 = float(np.sum(g_out))
     g_hidden = np.outer(g_out, w2) * h * (1.0 - h)    # S x L
@@ -172,7 +171,7 @@ def _bp_backward(h, y, w2, X, T):
 def bp_gradients(model: BpModel, X: np.ndarray, T: np.ndarray):
     """Gradients of bp_loss with respect to (w_hidden, b_hidden, w_out, b_out)."""
     h, y = _bp_forward(model.w_hidden, model.b_hidden, model.w_out, model.b_out, X)
-    return _bp_backward(h, y, model.w_out, X, T)
+    return _bp_backward(h, y, model.w_out, X, T, np.full(len(X), 1.0 / len(X)))
 
 
 def bp_train(
@@ -186,7 +185,8 @@ def bp_train(
     """Full-batch gradient descent on squared error.
 
     Weights start uniform in [-0.5, 0.5]; training stops at max_epochs or as
-    soon as the epoch's training MSE reaches goal_mse.
+    soon as the epoch's training MSE reaches goal_mse. Sums run over the
+    distinct (window, target) rows, each weighted by its share of samples.
     """
     if hidden_count < 1:
         raise ValueError(f"hidden_count must be >= 1, got {hidden_count}")
@@ -196,27 +196,30 @@ def bp_train(
         raise ValueError(f"max_epochs must be >= 1, got {max_epochs}")
     if data.n_samples < 1:
         raise ValueError("training set is empty")
+    if data.targets.shape != (data.n_samples,):
+        raise ValueError("need one target per input row")
+    samples = np.column_stack([data.inputs, data.targets])
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("non-finite entries in training set")
     rng = make_rng(seed)
     n = data.window
     w1 = rng.uniform(-0.5, 0.5, size=(hidden_count, n))
     b1 = rng.uniform(-0.5, 0.5, size=hidden_count)
     w2 = rng.uniform(-0.5, 0.5, size=hidden_count)
     b2 = float(rng.uniform(-0.5, 0.5))
-    X, T = data.inputs, data.targets
-    epochs_run = 0
+    rows, counts = np.unique(samples, axis=0, return_counts=True)
+    X, T, weights = rows[:, :-1], rows[:, -1], counts / data.n_samples
     # one forward pass per epoch: the pass after each update gives both the
     # stop check and the next epoch's gradients
     h, y = _bp_forward(w1, b1, w2, b2, X)
-    for _ in range(max_epochs):
-        gw1, gb1, gw2, gb2 = _bp_backward(h, y, w2, X, T)
-        del h, y  # free the old activations before the next pass allocates
+    for epochs_run in range(1, max_epochs + 1):
+        gw1, gb1, gw2, gb2 = _bp_backward(h, y, w2, X, T, weights)
         w1 -= learning_rate * gw1
         b1 -= learning_rate * gb1
         w2 -= learning_rate * gw2
         b2 -= learning_rate * gb2
-        epochs_run += 1
         h, y = _bp_forward(w1, b1, w2, b2, X)
-        if float(np.mean((y - T) ** 2)) <= goal_mse:
+        if float(np.dot(weights, (y - T) ** 2)) <= goal_mse:
             break
     return BpModel(
         input_dim=n, w_hidden=w1, b_hidden=b1, w_out=w2, b_out=b2,

@@ -271,6 +271,19 @@ class TestTrainFusion:
         want = _reference_train_fusion(bits, states, seed + 200, **kw)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_tied_rows_match_inline_loop(self, gamma, epsilon):
+        # rewards 1 and 0 at a 1/visits rate make each value a running mean
+        # of 0/1 rewards (plus lookahead), so rows tie after their first
+        # visit too: 40 greedy lookups read such a tie at gamma 0, epsilon 0
+        states = generate_trace(ChannelParams(6.0, 4.0), 1500, seed=42)
+        bits = noisy_local_predictions(states, [0.1, 0.3], seed=43)
+        kw = dict(gamma=gamma, r_p=1.0, r_n=0.0, epsilon=epsilon)
+        got = train_fusion(bits, states, 44, **kw)
+        want = _reference_train_fusion(bits, states, 44, **kw)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_visit_count_learning_rates(self):
         # one user that always reports idle, no exploration, gamma 0: both
         # steps pick idle in state 0, learning at 1 (Q = r_p = 4) and then
@@ -300,7 +313,8 @@ class TestTrainFusion:
 
 
 def _reference_train_fusion(local_bits, actual, seed, gamma, r_p, r_n, epsilon):
-    # train_fusion's loop as first written, with its own state packing
+    # train_fusion's loop as first written, on a numpy table with np.argmax
+    # and np.max, and with its own state packing
     local_bits = np.asarray(local_bits, dtype=np.int64)
     actual = np.asarray(actual, dtype=np.int64)
     T, n_users = local_bits.shape

@@ -3,11 +3,16 @@
 tests/data/offline_rows.json holds every row of each fusion config below
 (method, seed, p_d, p_fa, accuracy, n_evaluated) and the elm and hmm rows
 of each prediction config (method, seed, tp, tn, fp, fn, accuracy) at
-master seeds 0-2. BP rows are left out: the last digits of its mse depend
-on the BLAS thread count. A change to the traces, the local predictions,
-the fusion rules or the ELM and HMM predictors that alters any call moves
-at least one of them; a change meant to keep outputs byte-identical must
-leave them all in place.
+master seeds 0-2. BP rows are left out there: the last digits of its mse
+depend on how its sums are rounded. A change to the traces, the local
+predictions, the fusion rules or the ELM and HMM predictors that alters any
+call moves at least one of them; a change meant to keep outputs
+byte-identical must leave them all in place.
+
+FULL_EPOCH_BP pins the BP row's counts and accuracy at the default config
+(200 epochs) for master seeds 0-4, so a change to BP's rounding that flips
+a thresholded prediction fails here even when the mse moves only in its
+last digits.
 """
 
 import json
@@ -29,6 +34,15 @@ REDUCED = {
              error_rates=(0.05, 0.1, 0.2, 0.3, 0.45)),
     ),
     "prediction": ("prediction", dict(n_slots=2000, reps=2, bp_epochs=3)),
+}
+
+# master seed -> bp row's (tp, tn, fp, fn, accuracy) at the default config
+FULL_EPOCH_BP = {
+    0: [2124, 2011, 438, 427, 0.827],
+    1: [2292, 2063, 383, 262, 0.871],
+    2: [2166, 2143, 417, 274, 0.8618],
+    3: [2229, 2126, 399, 246, 0.871],
+    4: [1813, 2371, 413, 403, 0.8368],
 }
 
 
@@ -54,3 +68,11 @@ def recorded_rows(name, seed):
 @pytest.mark.parametrize("name", sorted(REDUCED))
 def test_rows_match_recorded_outcomes(name, seed):
     assert recorded_rows(name, seed) == GOLDEN[f"{name}/{seed}"]
+
+
+@pytest.mark.parametrize("seed", sorted(FULL_EPOCH_BP))
+def test_full_epoch_bp_outcomes(seed):
+    cfg = replace(default_config("prediction"), seed=seed)
+    (row,) = [r for r in run_scenario(cfg).rows if r["method"] == "bp"]
+    got = [row[k] for k in ("tp", "tn", "fp", "fn", "accuracy")]
+    assert got == FULL_EPOCH_BP[seed]

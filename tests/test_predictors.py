@@ -266,8 +266,15 @@ def _sigmoid_reference(z):
     return out
 
 
-def _bp_train_reference(data, hidden_count, learning_rate, max_epochs, goal_mse, seed):
-    """Two forward passes per epoch (gradients, then the stop check)."""
+def _bp_train_reference(
+    data, hidden_count, learning_rate, max_epochs, goal_mse, seed, distinct=True
+):
+    """Two forward passes per epoch (gradients, then the stop check).
+
+    distinct=True trains on the distinct (window, target) rows, each weighted
+    by count / S, as bp_train does; distinct=False is the per-sample
+    full-batch loop bp_train ran before, with 2 / S as the gradient scale.
+    """
 
     def forward(w1, b1, w2, b2, X):
         h = _sigmoid_reference(X @ w1.T + b1)
@@ -279,12 +286,20 @@ def _bp_train_reference(data, hidden_count, learning_rate, max_epochs, goal_mse,
     b1 = rng.uniform(-0.5, 0.5, size=hidden_count)
     w2 = rng.uniform(-0.5, 0.5, size=hidden_count)
     b2 = float(rng.uniform(-0.5, 0.5))
-    X, T = data.inputs, data.targets
-    S = X.shape[0]
+    S = data.n_samples
+    if distinct:
+        rows, counts = np.unique(
+            np.column_stack([data.inputs, data.targets]), axis=0, return_counts=True
+        )
+        X, T, weights = rows[:, :-1], rows[:, -1], counts / S
+        scale = 2.0 * weights
+    else:
+        X, T = data.inputs, data.targets
+        scale = 2.0 / S
     epochs_run = 0
     for _ in range(max_epochs):
         h, y = forward(w1, b1, w2, b2, X)
-        g_out = (2.0 / S) * (y - T) * y * (1.0 - y)
+        g_out = scale * (y - T) * y * (1.0 - y)
         gw2 = h.T @ g_out
         gb2 = float(np.sum(g_out))
         g_hidden = np.outer(g_out, w2) * h * (1.0 - h)
@@ -296,7 +311,8 @@ def _bp_train_reference(data, hidden_count, learning_rate, max_epochs, goal_mse,
         b2 -= learning_rate * gb2
         epochs_run += 1
         _, y = forward(w1, b1, w2, b2, X)
-        if float(np.mean((y - T) ** 2)) <= goal_mse:
+        sq = (y - T) ** 2
+        if float(np.dot(weights, sq) if distinct else np.mean(sq)) <= goal_mse:
             break
     return w1, b1, w2, b2, epochs_run
 
@@ -306,7 +322,7 @@ def _bits(a):
 
 
 class TestBpBitExact:
-    """The in-place sigmoid and one-pass training give the old bits exactly."""
+    """The in-place sigmoid and one-pass training give the reference bits exactly."""
 
     EDGES = [0.0, 5e-324, 1e-310, 36.7, 709.8, 745.2, 1e3, np.inf]
 
@@ -349,6 +365,76 @@ class TestBpBitExact:
         np.testing.assert_array_equal(_bits(model.b_hidden), _bits(b1))
         np.testing.assert_array_equal(_bits(model.w_out), _bits(w2))
         assert _bits(model.b_out) == _bits(b2)
+
+
+class TestBpDistinctRowsMatchFullBatch:
+    """Summing over distinct rows moves outputs by rounding only."""
+
+    def _assert_close(self, data, **kw):
+        model = bp_train(data, **kw)
+        w1, b1, w2, b2, epochs_run = _bp_train_reference(
+            data, kw["hidden_count"], kw["learning_rate"], kw["max_epochs"],
+            kw["goal_mse"], kw["seed"], distinct=False,
+        )
+        assert model.epochs_run == epochs_run
+        old = BpModel(input_dim=data.window, w_hidden=w1, b_hidden=b1,
+                      w_out=w2, b_out=b2)
+        np.testing.assert_allclose(
+            bp_predict_many(model, data.inputs), bp_predict_many(old, data.inputs),
+            rtol=0, atol=1e-12,
+        )
+        return model
+
+    @pytest.mark.parametrize(
+        "goal_mse, stops_early", [(1e-4, False), (0.2, True)],
+        ids=["to-max-epochs", "goal-stops-early"],
+    )
+    def test_duplicate_heavy_trace(self, goal_mse, stops_early):
+        tr = generate_trace(ChannelParams(10.0, 10.0), 1500, seed=8)
+        data = make_training_set(tr, 6)
+        assert len(np.unique(data.inputs, axis=0)) <= 64 < data.n_samples
+        model = self._assert_close(
+            data, hidden_count=50, learning_rate=0.2, max_epochs=200,
+            goal_mse=goal_mse, seed=8,
+        )
+        assert (model.epochs_run < 200) == stops_early
+
+    def test_continuous_data(self):
+        # criterion 4's shapes: real-valued inputs and targets, no repeats
+        rng = make_rng(404)
+        for rep in range(20):
+            n = int(rng.integers(2, 6))
+            s = int(rng.integers(4, 9))
+            data = TrainingSet(inputs=rng.random((s, n)), targets=rng.random(s))
+            self._assert_close(
+                data, hidden_count=int(rng.integers(2, 7)), learning_rate=0.1,
+                max_epochs=50, goal_mse=1e-12, seed=rep,
+            )
+
+
+class TestBpRejectsBadData:
+    def _data(self):
+        rng = np.random.default_rng(5)
+        return rng.integers(0, 2, size=(12, 3)).astype(float), rng.random(12)
+
+    def test_nan_input(self):
+        X, T = self._data()
+        X[4, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            bp_train(TrainingSet(inputs=X, targets=T), hidden_count=4)
+
+    def test_infinite_target(self):
+        X, T = self._data()
+        T[0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            bp_train(TrainingSet(inputs=X, targets=T), hidden_count=4)
+
+    @pytest.mark.parametrize("n_targets", [11, 13])
+    def test_target_count_mismatch(self, n_targets):
+        X, _ = self._data()
+        data = TrainingSet(inputs=X, targets=np.zeros(n_targets))
+        with pytest.raises(ValueError, match="one target per input row"):
+            bp_train(data, hidden_count=4)
 
 
 class TestBpLeavesInputsAlone:
