@@ -78,7 +78,7 @@ def _sorted_distinct(candidates: Iterable[int]) -> list:
     """The candidates as a list of distinct values in increasing order.
 
     A list that already is one, as the slot engine builds its candidate
-    lists, is returned as it is rather than copied and sorted again.
+    and requester lists, is returned as it is rather than copied and sorted again.
     """
     if type(candidates) is list:
         for i in range(1, len(candidates)):
@@ -179,9 +179,9 @@ def arbitrate(requests: Iterable[int], rng: np.random.Generator) -> list:
     Earlier positions pick channels first; the caller leaves out users who
     already hold a channel.
     """
-    pending = sorted(set(requests))
-    if not pending:
-        return []
+    pending = _sorted_distinct(requests)
+    if len(pending) < 2:
+        return list(pending)  # permutation(1) would draw nothing
     order = rng.permutation(len(pending))
     return [pending[i] for i in order]
 
@@ -191,7 +191,7 @@ def random_access(
 ) -> Optional[int]:
     """Uniform channel choice among the candidates; None when empty."""
     cands = _sorted_distinct(candidates)
-    if not cands:
-        return None
+    if len(cands) < 2:
+        return int(cands[0]) if cands else None  # integers(0, 1) draws nothing
     return int(cands[int(rng.integers(0, len(cands)))])
 

@@ -11,6 +11,7 @@ gives one int, a 2-d array one int64 result per row.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -87,6 +88,8 @@ def train_fusion(
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
     if not 0 <= epsilon <= 1:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    if not (math.isfinite(r_p) and math.isfinite(r_n)):
+        raise ValueError(f"r_p and r_n must be finite, got {r_p} and {r_n}")
     # flat lists indexed 2 * state + action: numpy scalar access costs more
     q = [0.0] * (2 << n_users)
     visits = [0] * (2 << n_users)

@@ -332,7 +332,7 @@ def _simulate_access(
     for every policy.
     """
     m_ch, n_slots = pu.shape
-    n_su, request_prob = cfg.n_su, cfg.request_prob
+    n_su = cfg.n_su
     pu_list = pu.tolist()
     rewarded = method in ("q", "mdp") or collect_events
     keeps_matrix = rewarded or method == "cf"
@@ -362,6 +362,8 @@ def _simulate_access(
     if a_bits is None:
         a_bits = _AdvisoryBits(cfg, pu)
     shared_t, shared = -1, None  # slot and value of the last shared listing
+    if not cfg.burst_requests:
+        request_lists = _request_lists(rng_req, n_slots, n_su, cfg.request_prob)
 
     def resolve(su, channel, t, collision):
         nonlocal n_total, n_collision, d_success
@@ -412,11 +414,9 @@ def _simulate_access(
         # at the start of the slot; without weights it is shared by all.
         nonlocal shared_t, shared
         if weights is not None:
-            row = weights[su]
-            scores = [
-                final_score_located(matrix, ch, row, now=t, window=cfg.score_window)
-                for ch in range(m_ch)
-            ]
+            scores = final_score_located(
+                matrix, weights[su], now=t, window=cfg.score_window
+            )
             return scores, recommend(scores, _threshold_of(cfg, scores))
         if shared_t != t:
             scores = [
@@ -444,10 +444,7 @@ def _simulate_access(
                 [u for u in range(n_su) if not busy[u]] if t % cfg.t == 0 else ()
             )
         else:
-            draws = rng_req.random(n_su).tolist()
-            requesting = [
-                u for u, d in enumerate(draws) if d < request_prob and not busy[u]
-            ]
+            requesting = [u for u in request_lists[t] if not busy[u]]
         order = arbitrate(requesting, rng_arb)
         # idle, unheld channels, in increasing order; grants must fit the
         # horizon
@@ -512,6 +509,18 @@ def _simulate_access(
         "d_success": d_success,
         "events": events,
     }
+
+
+def _request_lists(rng, n_slots: int, n_su: int, p: float) -> list:
+    """Per slot, the users whose request coin came up, in increasing order.
+
+    One n_slots x n_su block of draws gives the same stream as one row of
+    n_su draws per slot.
+    """
+    slots, users = np.nonzero(rng.random((n_slots, n_su)) < p)
+    bounds = np.searchsorted(slots, np.arange(n_slots + 1)).tolist()
+    users = users.tolist()
+    return [users[bounds[t]: bounds[t + 1]] for t in range(n_slots)]
 
 
 def _append_audit(audit, t, pu_list, holder, partner, m_ch):

@@ -91,26 +91,26 @@ def final_score(
 
 
 def final_score_located(
-    matrix: ScoreMatrix,
-    channel: int,
-    weights: Sequence[float],
-    now: int,
-    window: int,
-) -> Optional[float]:
-    """Distance-weighted mean rating: each record counts rating * e^(-d).
+    matrix: ScoreMatrix, weights: Sequence[float], now: int, window: int
+) -> list:
+    """Each channel's distance-weighted mean rating; None where untried.
 
-    weights[u] is e^(-d) for the Euclidean distance d from user u to the
-    target user, so far-away experience contributes almost nothing.
+    A record counts rating * e^(-d): weights[u] is e^(-d) for the Euclidean
+    distance d from user u to the target user, so far-away experience
+    contributes almost nothing. The records of one channel are summed in
+    time order.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    recs = matrix.window_records(channel, now, window)
-    if not recs:
-        return None
-    total = 0.0
-    for su, rating in recs:
-        total += rating * weights[su]
-    return total / len(recs)
+    start, scores = now - window, []
+    for times, recs in zip(matrix._times, matrix._by_channel):
+        j = bisect.bisect_left(times, now)
+        i = bisect.bisect_left(times, start, 0, j)
+        total = 0.0
+        for su, rating in recs[i:j]:
+            total += rating * weights[su]
+        scores.append(total / (j - i) if j > i else None)
+    return scores
 
 
 def default_threshold(scores: Sequence[Optional[float]]) -> Optional[float]:

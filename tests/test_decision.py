@@ -214,6 +214,33 @@ class TestRandomAccess:
         assert abs(np.mean(draws) - 0.5) < 0.01
 
 
+class TestDrawsThatDrawNothing:
+    """numpy makes no draw for a choice with one outcome; arbitrate and
+    random_access skip that call, and must leave the stream as it was."""
+
+    def test_numpy_one_outcome_leaves_the_state(self):
+        rng = make_rng(7)
+        before = rng.bit_generator.state
+        assert rng.permutation(1).tolist() == [0]
+        assert int(rng.integers(0, 1)) == 0
+        assert rng.bit_generator.state == before
+        rng.permutation(2)
+        assert rng.bit_generator.state != before
+
+    @pytest.mark.parametrize("requests", [[], [3], {5}, (2, 2)])
+    def test_arbitrate_under_two_requesters(self, requests):
+        rng = make_rng(8)
+        before = rng.bit_generator.state
+        assert arbitrate(requests, rng) == sorted(set(requests))
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("cands", [[4], {4}, (4, 4)])
+    def test_random_access_one_candidate(self, cands):
+        rng = make_rng(9)
+        before = rng.bit_generator.state
+        assert random_access(cands, rng) == 4
+        assert rng.bit_generator.state == before
+
 
 class TestCandidateContract:
     """Any iterable of candidates, in any order and with repeats, chooses

@@ -27,6 +27,16 @@ REDUCED = {
         dict(n_su=6, n_slots=300, k_max=4, t=4, reps=1, warmup_slots=60,
              burst_requests=True),
     ),
+    # every idle user requests every slot: long arbitration orders
+    "decision-2-always": (
+        "decision-2",
+        dict(n_slots=300, k_max=5, reps=1, warmup_slots=60, request_prob=1.0),
+    ),
+    # mostly one requester per slot: arbitration and random access with a
+    # single entry
+    "decision-1-two-su": (
+        "decision-1", dict(n_su=2, n_slots=300, k_max=5, reps=1, warmup_slots=60)
+    ),
 }
 
 

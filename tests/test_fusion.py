@@ -311,6 +311,13 @@ class TestTrainFusion:
         with pytest.raises(ValueError, match=message):
             train_fusion(bits, [0, 1, 0, 1], seed=0, **kw)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["r_p", "r_n"])
+    def test_rejects_non_finite_rewards(self, name, value):
+        bits = np.zeros((6, 1), dtype=np.int64)
+        with pytest.raises(ValueError, match="finite"):
+            train_fusion(bits, [0, 1, 0, 1, 1, 0], seed=0, **{name: value})
+
 
 def _reference_train_fusion(local_bits, actual, seed, gamma, r_p, r_n, epsilon):
     # train_fusion's loop as first written, on a numpy table with np.argmax

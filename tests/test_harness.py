@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from crspectrum.channel import neighbors, place_users
 from crspectrum.config import default_config
 from crspectrum.harness import (
+    _request_lists,
     _simulate_access,
     emit_outputs,
     run_scenario,
     summary_to_csv,
     summary_to_json,
 )
+from crspectrum.seeding import make_rng
 
 
 def small_config(scenario, **overrides):
@@ -260,6 +262,24 @@ class TestEngineProperties:
         assert res["n_total"] == len(counted)
         assert res["n_collision"] == sum(ev["collision"] for ev in counted)
         assert res["n_collision"] + res["d_success"] == res["n_total"]
+
+
+class TestRequestLists:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_slots=st.integers(0, 40),
+        n_su=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_block_matches_per_slot_draws(self, n_slots, n_su, seed, p):
+        rng_ref, rng = make_rng(seed), make_rng(seed)
+        want = [
+            [u for u, d in enumerate(rng_ref.random(n_su)) if d < p]
+            for _ in range(n_slots)
+        ]
+        assert _request_lists(rng, n_slots, n_su, p) == want
+        assert rng.random() == rng_ref.random()
 
 
 class TestEventsOff:

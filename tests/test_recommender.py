@@ -98,20 +98,30 @@ class TestFinalScoreLocated:
     def test_zero_distance_matches_plain(self):
         m = _matrix_with([(1, 0, 0, 4)])
         locs = [SuLocation(3.0, 3.0, 5.0), SuLocation(3.0, 3.0, 5.0)]
-        got = final_score_located(m, 0, _weights_for(locs, 1), now=2, window=5)
-        assert got == pytest.approx(4.0, abs=1e-12)
+        got = final_score_located(m, _weights_for(locs, 1), now=2, window=5)
+        assert got == [pytest.approx(4.0, abs=1e-12)]
 
     def test_log_two_distance_halves(self):
         m = _matrix_with([(1, 0, 0, 4)])
         locs = [SuLocation(0.0, 0.0, 5.0), SuLocation(math.log(2), 0.0, 5.0)]
-        got = final_score_located(m, 0, _weights_for(locs, 1), now=2, window=5)
-        assert got == pytest.approx(2.0, abs=1e-12)
+        got = final_score_located(m, _weights_for(locs, 1), now=2, window=5)
+        assert got == [pytest.approx(2.0, abs=1e-12)]
 
     def test_far_records_vanish(self):
         m = _matrix_with([(1, 0, 0, 5)])
         locs = [SuLocation(0.0, 0.0, 5.0), SuLocation(60.0, 0.0, 5.0)]
-        got = final_score_located(m, 0, _weights_for(locs, 1), now=2, window=5)
+        (got,) = final_score_located(m, _weights_for(locs, 1), now=2, window=5)
         assert 0.0 < got < 1e-20
+
+    def test_one_score_per_channel_none_where_untried(self):
+        m = _matrix_with([(1, 0, 0, 4), (2, 0, 2, 3)])
+        got = final_score_located(m, [1.0], now=3, window=5)
+        assert got == [4.0, None, 3.0]
+
+    def test_window_must_be_positive(self):
+        m = _matrix_with([(1, 0, 0, 4)])
+        with pytest.raises(ValueError, match="window"):
+            final_score_located(m, [1.0], now=2, window=0)
 
     def test_never_exceeds_plain_score(self):
         rng = np.random.default_rng(4)
@@ -126,14 +136,15 @@ class TestFinalScoreLocated:
                 SuLocation(float(x), float(y), 5.0)
                 for x, y in rng.uniform(0, 10, size=(4, 2))
             ]
-            plain = final_score(m, 0, now=11, window=20)
             located = final_score_located(
-                m, 0, _weights_for(locs, 3), now=11, window=20
+                m, _weights_for(locs, 3), now=11, window=20
             )
-            if plain is None:
-                assert located is None
-            else:
-                assert located <= plain + 1e-12
+            for ch, score in enumerate(located):
+                plain = final_score(m, ch, now=11, window=20)
+                if plain is None:
+                    assert score is None
+                else:
+                    assert score <= plain + 1e-12
 
 
 N_SU, M_CH = 4, 3
@@ -174,25 +185,35 @@ class TestWindowQueriesMatchBruteForce:
             m.append(su, ch, t, rating)
         locs = [SuLocation(x, y, 5.0) for x, y in xy]
         row = _weights_for(locs, 0)
-        for ch, now, window in asked:
-            want = [
+
+        def records(ch, now, window):
+            return [
                 (su, rating) for su, c, t, rating in appended
                 if c == ch and now - window <= t < now
             ]
+
+        for ch, now, window in asked:
+            want = records(ch, now, window)
             assert m.window_records(ch, now, window) == want
             assert m.window_total(ch, now, window) == (
                 sum(rating for _, rating in want), len(want)
             )
             plain = final_score(m, ch, now=now, window=window)
-            located = final_score_located(m, ch, row, now=now, window=window)
-            if not want:
-                assert plain is None and located is None
-                continue
-            assert plain == sum(rating for _, rating in want) / len(want)
-            weighted = 0.0
-            for su, rating in want:
-                weighted += rating * math.exp(-locs[0].distance_to(locs[su]))
-            assert located == weighted / len(want)
+            if want:
+                assert plain == sum(rating for _, rating in want) / len(want)
+            else:
+                assert plain is None
+            located = final_score_located(m, row, now=now, window=window)
+            assert len(located) == M_CH
+            for c, score in enumerate(located):
+                recs = records(c, now, window)
+                if not recs:
+                    assert score is None
+                    continue
+                weighted = 0.0
+                for su, rating in recs:
+                    weighted += rating * math.exp(-locs[0].distance_to(locs[su]))
+                assert score == weighted / len(recs)
 
 
 class TestRecommend:
