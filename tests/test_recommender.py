@@ -71,22 +71,31 @@ def _matrix_with(ratings_at):
     return m
 
 
+def _plain(m, now, window):
+    """Every channel's score with all raters weighted equally."""
+    return final_score_located(m, [1.0] * m.n_su, now=now, window=window)
+
+
 class TestFinalScore:
     def test_mean_of_window(self):
         m = _matrix_with([(1, 0, 0, 3), (2, 1, 0, 2), (3, 0, 0, 4)])
         assert final_score(m, 0, now=4, window=10) == 3.0
+        assert _plain(m, now=4, window=10) == [3.0]
 
     def test_empty_window_undefined(self):
         m = _matrix_with([(1, 0, 0, 3)])
         assert final_score(m, 0, now=20, window=5) is None
+        assert _plain(m, now=20, window=5) == [None]
 
     def test_single_record(self):
         m = _matrix_with([(7, 0, 1, 5)])
         assert final_score(m, 1, now=8, window=3) == 5.0
+        assert _plain(m, now=8, window=3) == [None, 5.0]
 
     def test_uniform_ratings_score_exactly(self):
         m = _matrix_with([(t, 0, 0, 4) for t in range(10)])
         assert final_score(m, 0, now=10, window=10) == 4.0
+        assert _plain(m, now=10, window=10) == [4.0]
 
 
 def _weights_for(locs, target):
@@ -99,7 +108,7 @@ class TestFinalScoreLocated:
         m = _matrix_with([(1, 0, 0, 4)])
         locs = [SuLocation(3.0, 3.0, 5.0), SuLocation(3.0, 3.0, 5.0)]
         got = final_score_located(m, _weights_for(locs, 1), now=2, window=5)
-        assert got == [pytest.approx(4.0, abs=1e-12)]
+        assert got == _plain(m, now=2, window=5) == [4.0]
 
     def test_log_two_distance_halves(self):
         m = _matrix_with([(1, 0, 0, 4)])
@@ -198,11 +207,17 @@ class TestWindowQueriesMatchBruteForce:
             assert m.window_total(ch, now, window) == (
                 sum(rating for _, rating in want), len(want)
             )
-            plain = final_score(m, ch, now=now, window=window)
-            if want:
-                assert plain == sum(rating for _, rating in want) / len(want)
-            else:
-                assert plain is None
+            # unit weights give exactly the int/int mean that final_score
+            # gives, as integer ratings sum exactly in doubles
+            plain = _plain(m, now=now, window=window)
+            assert len(plain) == M_CH
+            for c, score in enumerate(plain):
+                assert final_score(m, c, now=now, window=window) == score
+                ratings = [rating for _, rating in records(c, now, window)]
+                if ratings:
+                    assert score == sum(ratings) / len(ratings)
+                else:
+                    assert score is None
             located = final_score_located(m, row, now=now, window=window)
             assert len(located) == M_CH
             for c, score in enumerate(located):
