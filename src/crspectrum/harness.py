@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ChannelParams, generate_multi, generate_trace, place_users, neighbors
 from .config import SWEEP_WINDOWS, SimConfig, config_to_dict
@@ -268,34 +269,6 @@ def _run_fusion(cfg: SimConfig) -> RunSummary:
 # slot-loop access simulator (recommendation and decision scenarios)
 
 
-class _AdvisoryBits:
-    """Advisory bit A per (channel, slot), computed on first use.
-
-    A is the thresholded next-slot ELM prediction for the channel, or the
-    current slot's state (persistence) where the channel has no model or
-    too little history. It depends on neither the policy nor K, so one
-    instance serves every run over a repetition's traces.
-    """
-
-    def __init__(self, cfg: SimConfig, pu: np.ndarray, models=None):
-        self._cfg, self._pu, self._models = cfg, pu, models
-        self._memo = [None] * pu.size  # row-major over (channel, slot)
-
-    def __call__(self, channel: int, t: int) -> int:
-        key = channel * self._pu.shape[1] + t
-        bit = self._memo[key]
-        if bit is None:
-            cfg = self._cfg
-            model = self._models[channel] if self._models else None
-            if model is None or t + 1 < cfg.window:
-                bit = int(self._pu[channel, t])
-            else:
-                window = self._pu[channel, t - cfg.window + 1: t + 1]
-                bit = threshold(elm_predict(model, window), cfg.lam)
-            self._memo[key] = bit
-        return bit
-
-
 def _simulate_access(
     cfg: SimConfig,
     pu: np.ndarray,
@@ -303,7 +276,7 @@ def _simulate_access(
     k: int,
     env_seed: int,
     act_seed: int,
-    a_bits: Optional[_AdvisoryBits] = None,
+    a_bits: Optional[list] = None,
     weights=None,
     neighbor_lists=None,
     collect_events: bool = False,
@@ -316,8 +289,9 @@ def _simulate_access(
     demand); act_seed drives the agent's own randomness. Returns the
     metric counts and, with collect_events, the per-decision events.
     Accesses granted during the warm-up phase train the agents and seed
-    the score matrix but are excluded from the metric counts. a_bits
-    gives advisory bit A; without it A is persistence. With weights
+    the score matrix but are excluded from the metric counts. a_bits,
+    an M x T list, gives advisory bit A per channel and slot; without it A
+    is persistence, the slot's own state. With weights
     (decision-2), weights[u][v] discounts v's ratings for user u,
     neighbor_lists[u] holds u's partners in increasing index order, and
     a request takes the first one not busy. audit, when given, gets one
@@ -360,7 +334,7 @@ def _simulate_access(
     events = [] if collect_events else None
     half_horizon = max(1, n_slots // 2)
     if a_bits is None:
-        a_bits = _AdvisoryBits(cfg, pu)
+        a_bits = pu_list
     shared_t, shared = -1, None  # slot and value of the last shared listing
     if not cfg.burst_requests:
         request_lists = _request_lists(rng_req, n_slots, n_su, cfg.request_prob)
@@ -377,7 +351,7 @@ def _simulate_access(
         if keeps_matrix:
             matrix.append(su, channel, t, rating)
         if rewarded:
-            state, a = codes[t0], a_bits(channel, t0)
+            state, a = codes[t0], a_bits[channel][t0]
             r = reward(collision, a, hold_b[su])
             if method == "q":
                 q_update(table, state, channel, r, codes[t] if t < n_slots else state)
@@ -445,7 +419,7 @@ def _simulate_access(
             )
         else:
             requesting = [u for u in request_lists[t] if not busy[u]]
-        order = arbitrate(requesting, rng_arb)
+        order = arbitrate(requesting, rng_arb) if len(requesting) > 1 else requesting
         # idle, unheld channels, in increasing order; grants must fit the
         # horizon
         candidates = (
@@ -575,6 +549,31 @@ def _train_channel_elms(cfg: SimConfig, pu: np.ndarray, rep_seed: int):
     return models
 
 
+def _advisory_bits(cfg: SimConfig, pu: np.ndarray, models) -> list:
+    """Advisory bit A per (channel, slot), an M x T list of ints.
+
+    A is the thresholded next-slot ELM prediction for the channel, or the
+    current slot's state (persistence) where the channel has no model or
+    too little history. It depends on neither the policy nor K, so one
+    list serves every run over a repetition's traces. The prediction
+    depends only on the window, so each distinct window is predicted once.
+    """
+    bits, w = pu.tolist(), cfg.window
+    powers = 1 << np.arange(w)
+    for c, model in enumerate(models):
+        if model is None or pu.shape[1] < w:
+            continue
+        codes = (sliding_window_view(pu[c], w) @ powers).tolist()
+        memo = {}
+        for t in range(w - 1, pu.shape[1]):
+            code = codes[t - w + 1]
+            if code not in memo:
+                window = pu[c, t - w + 1: t + 1]
+                memo[code] = threshold(elm_predict(model, window), cfg.lam)
+            bits[c][t] = memo[code]
+    return bits
+
+
 def _run_access(cfg: SimConfig, collect_events: bool) -> RunSummary:
     """Every (repetition, K, method) run of an access scenario.
 
@@ -582,11 +581,11 @@ def _run_access(cfg: SimConfig, collect_events: bool) -> RunSummary:
     K; the decision scenarios run Q-learning and greedy-MDP agents against
     random access over a K sweep, decision-1 sharing one recommendation
     list among all users and decision-2 weighting each rating by its
-    author's distance. Each repetition draws its channel traces, trains
-    the per-channel ELM advisors and, in decision-2, places the users and
-    builds their partner lists and distance weights; every K and method
-    then runs over those. Events, when collected, are tagged with their
-    method, K and seed.
+    author's distance. Each repetition draws its channel traces, builds
+    bit A from per-channel ELM advisors where it is read and, in
+    decision-2, places the users and builds their partner lists and
+    distance weights; every K and method then runs over those. Events,
+    when collected, are tagged with their method, K and seed.
     """
     if cfg.scenario == "recommendation":
         methods, k_values, group = ("cf", "random"), [cfg.k], ("method",)
@@ -602,7 +601,9 @@ def _run_access(cfg: SimConfig, collect_events: bool) -> RunSummary:
         pu = generate_multi(
             params, cfg.n_slots, derive_seed(rep_seed, _TAG_CHANNELS, 1)
         )
-        a_bits = _AdvisoryBits(cfg, pu, _train_channel_elms(cfg, pu, rep_seed))
+        a_bits = None  # bit A feeds only the rewards and the event log
+        if cfg.scenario != "recommendation" or collect_events:
+            a_bits = _advisory_bits(cfg, pu, _train_channel_elms(cfg, pu, rep_seed))
         weights = neighbor_lists = None
         if cfg.scenario == "decision-2":
             locations = place_users(

@@ -26,12 +26,14 @@ def score_access(slots_transmitted: int, k: int) -> int:
 
 @dataclass
 class ScoreMatrix:
-    """Access records, appended in time order and kept per channel.
+    """Access records, appended in time order.
 
     A record is one access outcome: user, channel, time and rating. Each
     channel keeps its records' (su, rating) pairs, their times and a running
     sum of their ratings, so recent-window queries inside the slot loop are
-    two bisections, in any time order.
+    two bisections, in any time order. One time-ordered log of every
+    record's (su, channel, rating) and its times lets an all-channel query
+    walk just the window's records.
     """
 
     n_su: int
@@ -42,6 +44,7 @@ class ScoreMatrix:
         self._times = [[] for _ in range(self.m_ch)]
         self._cum = [[0] for _ in range(self.m_ch)]  # ratings before each record
         self._last_t = float("-inf")  # time of the latest record
+        self._log, self._log_times = [], []  # (su, channel, rating) per record
 
     def append(self, su: int, channel: int, t: int, rating: int) -> None:
         if not 0 <= su < self.n_su:
@@ -56,6 +59,8 @@ class ScoreMatrix:
         self._by_channel[channel].append((su, rating))
         self._times[channel].append(t)
         self._cum[channel].append(self._cum[channel][-1] + rating)
+        self._log.append((su, channel, rating))
+        self._log_times.append(t)
 
     def _window(self, channel: int, now: int, window: int) -> tuple:
         """Index range of a channel's records with now - window <= t < now."""
@@ -97,20 +102,19 @@ def final_score_located(
 
     A record counts rating * e^(-d): weights[u] is e^(-d) for the Euclidean
     distance d from user u to the target user, so far-away experience
-    contributes almost nothing. The records of one channel are summed in
-    time order.
+    contributes almost nothing. One pass over the window's records sums
+    each channel's records in time order.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    start, scores = now - window, []
-    for times, recs in zip(matrix._times, matrix._by_channel):
-        j = bisect.bisect_left(times, now)
-        i = bisect.bisect_left(times, start, 0, j)
-        total = 0.0
-        for su, rating in recs[i:j]:
-            total += rating * weights[su]
-        scores.append(total / (j - i) if j > i else None)
-    return scores
+    times = matrix._log_times
+    j = bisect.bisect_left(times, now)
+    i = bisect.bisect_left(times, now - window, 0, j)
+    totals, counts = [0.0] * matrix.m_ch, [0] * matrix.m_ch
+    for su, channel, rating in matrix._log[i:j]:
+        totals[channel] += rating * weights[su]
+        counts[channel] += 1
+    return [total / n if n else None for total, n in zip(totals, counts)]
 
 
 def default_threshold(scores: Sequence[Optional[float]]) -> Optional[float]:

@@ -37,6 +37,12 @@ REDUCED = {
     "decision-1-two-su": (
         "decision-1", dict(n_su=2, n_slots=300, k_max=5, reps=1, warmup_slots=60)
     ),
+    # a 200-slot score window: many records per channel in each located
+    # score
+    "decision-2-wide-window": (
+        "decision-2",
+        dict(n_slots=300, k_max=5, reps=1, warmup_slots=60, score_window=200),
+    ),
 }
 
 

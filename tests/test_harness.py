@@ -1,16 +1,20 @@
+import hashlib
 import json
 import math
 import os
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crspectrum import harness
 from crspectrum.channel import neighbors, place_users
 from crspectrum.config import default_config
 from crspectrum.harness import (
+    _advisory_bits,
     _request_lists,
     _simulate_access,
     emit_outputs,
@@ -18,6 +22,7 @@ from crspectrum.harness import (
     summary_to_csv,
     summary_to_json,
 )
+from crspectrum.predictors import elm_predict, elm_train, make_training_set, threshold
 from crspectrum.seeding import make_rng
 
 
@@ -282,15 +287,21 @@ class TestRequestLists:
         assert rng.random() == rng_ref.random()
 
 
+# reduced access configs whose event logs are pinned below
+EVENT_CASES = {
+    "recommendation": dict(n_slots=300, reps=2),
+    "decision-1": dict(n_slots=300, k_max=5, reps=1, warmup_slots=60),
+    "decision-2": dict(n_slots=300, k_max=5, reps=1, warmup_slots=60),
+}
+
+
 class TestEventsOff:
     """Without events the engine skips what the policy does not read."""
 
     @pytest.mark.parametrize(
         "scenario, overrides",
         [
-            ("recommendation", dict(n_slots=300, reps=2)),
-            ("decision-1", dict(n_slots=300, k_max=5, reps=1, warmup_slots=60)),
-            ("decision-2", dict(n_slots=300, k_max=5, reps=1, warmup_slots=60)),
+            *EVENT_CASES.items(),
             (
                 "decision-1",
                 dict(n_su=6, n_slots=300, k_max=4, t=4, reps=1, warmup_slots=60,
@@ -302,6 +313,101 @@ class TestEventsOff:
     def test_rows_equal_with_and_without_events(self, scenario, overrides, seed):
         cfg = replace(default_config(scenario), seed=seed, **overrides)
         assert run_scenario(cfg, collect_events=True).rows == run_scenario(cfg).rows
+
+    @pytest.mark.parametrize(
+        "scenario, events, calls",
+        [
+            ("recommendation", False, 0),
+            ("recommendation", True, 2),
+            ("decision-1", False, 1),
+        ],
+    )
+    def test_elm_advisors_train_only_when_bit_a_is_read(
+        self, monkeypatch, scenario, events, calls
+    ):
+        # recommendation's cf and random never read bit A; its event log does
+        seen = []
+        train = harness._train_channel_elms
+
+        def counted(*args):
+            seen.append(args)
+            return train(*args)
+
+        monkeypatch.setattr(harness, "_train_channel_elms", counted)
+        cfg = replace(default_config(scenario), **EVENT_CASES[scenario])
+        run_scenario(cfg, collect_events=events)
+        assert len(seen) == calls
+
+
+class TestEventLogsPinned:
+    """SHA-256 of each event log (bits A and B and the reward of every
+    policy's accesses), as json.dumps(events, sort_keys=True)."""
+
+    DIGESTS = {
+        ("recommendation", 0): "c9f02839e8197c463ef80950857a39f5b5e36253aa3d78b0dafe7afaed38bbc4",
+        ("recommendation", 1): "0952f009d587963c14728c295747e07f1ab0d2cef96489699ec9968ec23e07a9",
+        ("decision-1", 0): "20654ab1227b2ed546bd4caa968118475f46107dc894fd934f85dbed0ea11244",
+        ("decision-1", 1): "0556302ab8815645ed4c9459a12331784fbb5d10e832449b201e10818761a0fe",
+        ("decision-2", 0): "2b121fb64a6481d29214083a408103d03fb81ca80adc5061a060a6b696ffa23b",
+        ("decision-2", 1): "bc6c2172ae92dfce1bc620a5ece709eab90db5ef7955cb5ed8ddb65c930f1f66",
+    }
+
+    @pytest.mark.parametrize("scenario, seed", sorted(DIGESTS))
+    def test_event_log_digest(self, scenario, seed):
+        cfg = replace(default_config(scenario), seed=seed, **EVENT_CASES[scenario])
+        events = run_scenario(cfg, collect_events=True).events
+        text = json.dumps(events, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[scenario, seed]
+
+
+@st.composite
+def advisory_cases(draw):
+    """A random 0/1 trace matrix, a window and per-channel models or None."""
+    m_ch = draw(st.integers(1, 4))
+    n_slots = draw(st.integers(1, 60))
+    w = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    pu = (rng.random((m_ch, n_slots)) < draw(st.sampled_from([0.1, 0.5]))).astype(
+        np.uint8
+    )
+    models = []
+    for c in range(m_ch):
+        if n_slots > w and draw(st.booleans()):
+            data = make_training_set(pu[c], w)
+            models.append(elm_train(data, 6, seed + c))
+        else:
+            models.append(None)
+    cfg = replace(
+        default_config("decision-1"), window=w, lam=draw(st.sampled_from([0.3, 0.5]))
+    )
+    return cfg, pu, models
+
+
+class TestAdvisoryBits:
+    @settings(max_examples=150, deadline=None)
+    @given(advisory_cases())
+    def test_equals_per_slot_rule(self, case):
+        cfg, pu, models = case
+        w = cfg.window
+
+        def rule(c, t):
+            # bit A as the engine once built it, one (channel, slot) at a time
+            if models[c] is None or t + 1 < w:
+                return int(pu[c, t])
+            return threshold(elm_predict(models[c], pu[c, t - w + 1: t + 1]), cfg.lam)
+
+        with mock.patch.object(harness, "elm_predict", wraps=elm_predict) as spy:
+            bits = _advisory_bits(cfg, pu, models)
+        m_ch, n_slots = pu.shape
+        assert bits == [[rule(c, t) for t in range(n_slots)] for c in range(m_ch)]
+        # one prediction per distinct window of each channel with a model
+        distinct = sum(
+            len({pu[c, t - w + 1: t + 1].tobytes() for t in range(w - 1, n_slots)})
+            for c in range(m_ch)
+            if models[c] is not None
+        )
+        assert spy.call_count == distinct
 
 
 class TestDegenerateTraces:
