@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ChannelParams, generate_multi, generate_trace, place_users, neighbors
 from .config import SWEEP_WINDOWS, SimConfig, config_to_dict
@@ -419,7 +418,7 @@ def _simulate_access(
             )
         else:
             requesting = [u for u in request_lists[t] if not busy[u]]
-        order = arbitrate(requesting, rng_arb) if len(requesting) > 1 else requesting
+        order = arbitrate(requesting, rng_arb)
         # idle, unheld channels, in increasing order; grants must fit the
         # horizon
         candidates = (
@@ -558,19 +557,17 @@ def _advisory_bits(cfg: SimConfig, pu: np.ndarray, models) -> list:
     list serves every run over a repetition's traces. The prediction
     depends only on the window, so each distinct window is predicted once.
     """
-    bits, w = pu.tolist(), cfg.window
-    powers = 1 << np.arange(w)
+    bits, w, size = pu.tolist(), cfg.window, pu.itemsize
     for c, model in enumerate(models):
-        if model is None or pu.shape[1] < w:
+        if model is None:
             continue
-        codes = (sliding_window_view(pu[c], w) @ powers).tolist()
-        memo = {}
+        row, memo = pu[c].tobytes(), {}
         for t in range(w - 1, pu.shape[1]):
-            code = codes[t - w + 1]
-            if code not in memo:
+            key = row[(t - w + 1) * size: (t + 1) * size]  # the window's bytes
+            if key not in memo:
                 window = pu[c, t - w + 1: t + 1]
-                memo[code] = threshold(elm_predict(model, window), cfg.lam)
-            bits[c][t] = memo[code]
+                memo[key] = threshold(elm_predict(model, window), cfg.lam)
+            bits[c][t] = memo[key]
     return bits
 
 
@@ -602,7 +599,7 @@ def _run_access(cfg: SimConfig, collect_events: bool) -> RunSummary:
             params, cfg.n_slots, derive_seed(rep_seed, _TAG_CHANNELS, 1)
         )
         a_bits = None  # bit A feeds only the rewards and the event log
-        if cfg.scenario != "recommendation" or collect_events:
+        if collect_events or {"q", "mdp"} & set(methods):
             a_bits = _advisory_bits(cfg, pu, _train_channel_elms(cfg, pu, rep_seed))
         weights = neighbor_lists = None
         if cfg.scenario == "decision-2":

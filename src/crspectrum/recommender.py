@@ -28,19 +28,17 @@ def score_access(slots_transmitted: int, k: int) -> int:
 class ScoreMatrix:
     """Access records, appended in time order.
 
-    A record is one access outcome: user, channel, time and rating. Each
-    channel keeps its records' (su, rating) pairs, their times and a running
-    sum of their ratings, so recent-window queries inside the slot loop are
-    two bisections, in any time order. One time-ordered log of every
-    record's (su, channel, rating) and its times lets an all-channel query
-    walk just the window's records.
+    A record is one access outcome: user, channel, time and rating. One
+    time-ordered log keeps every record's (su, channel, rating) and its
+    time, so a recent-window query bisects it and walks just the window's
+    records. Each channel also keeps its records' times and a running sum
+    of their ratings, so one channel's window total is two bisections.
     """
 
     n_su: int
     m_ch: int
 
     def __post_init__(self):
-        self._by_channel = [[] for _ in range(self.m_ch)]
         self._times = [[] for _ in range(self.m_ch)]
         self._cum = [[0] for _ in range(self.m_ch)]  # ratings before each record
         self._last_t = float("-inf")  # time of the latest record
@@ -56,7 +54,6 @@ class ScoreMatrix:
         if t < self._last_t:
             raise ValueError("records must be appended in nondecreasing time order")
         self._last_t = t
-        self._by_channel[channel].append((su, rating))
         self._times[channel].append(t)
         self._cum[channel].append(self._cum[channel][-1] + rating)
         self._log.append((su, channel, rating))
@@ -70,8 +67,9 @@ class ScoreMatrix:
 
     def window_records(self, channel: int, now: int, window: int) -> list:
         """(su, rating) per record of a channel in the `window` slots before now."""
-        i, j = self._window(channel, now, window)
-        return self._by_channel[channel][i:j]
+        j = bisect.bisect_left(self._log_times, now)
+        i = bisect.bisect_left(self._log_times, now - window, 0, j)
+        return [(su, r) for su, ch, r in self._log[i:j] if ch == channel]
 
     def window_total(self, channel: int, now: int, window: int) -> tuple:
         """(sum of ratings, record count) over the same window."""

@@ -362,14 +362,14 @@ class TestEventLogsPinned:
 
 @st.composite
 def advisory_cases(draw):
-    """A random 0/1 trace matrix, a window and per-channel models or None."""
+    """A random 0/1 trace matrix of either dtype, a window and models or None."""
     m_ch = draw(st.integers(1, 4))
     n_slots = draw(st.integers(1, 60))
     w = draw(st.integers(1, 12))
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
     pu = (rng.random((m_ch, n_slots)) < draw(st.sampled_from([0.1, 0.5]))).astype(
-        np.uint8
+        draw(st.sampled_from([np.uint8, np.int64]))
     )
     models = []
     for c in range(m_ch):
@@ -388,7 +388,20 @@ class TestAdvisoryBits:
     @settings(max_examples=150, deadline=None)
     @given(advisory_cases())
     def test_equals_per_slot_rule(self, case):
-        cfg, pu, models = case
+        self._check(*case)
+
+    def test_windows_longer_than_64_slots(self):
+        # 70-slot windows that share their oldest 64 slots but differ in the
+        # newest must each get their own prediction
+        w, n_slots = 70, 200
+        pu = (np.random.default_rng(5).random((2, n_slots)) < 0.5).astype(np.uint8)
+        pu[:, 100:164] = pu[:, 30:94]
+        models = [elm_train(make_training_set(pu[0], w), 6, 5), None]
+        cfg = replace(default_config("decision-1"), window=w)
+        self._check(cfg, pu, models)
+
+    @staticmethod
+    def _check(cfg, pu, models):
         w = cfg.window
 
         def rule(c, t):
