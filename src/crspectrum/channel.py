@@ -1,4 +1,4 @@
-"""Primary-user channel occupancy traces and secondary-user placement.
+"""Primary-user channel occupancy traces and secondary-user geometry.
 
 Each licensed channel alternates between idle (0) and busy (1) periods:
 idle gaps are geometric with mean ``mean_interarrival`` slots (the discrete
@@ -45,22 +45,6 @@ class ChannelParams:
         return cls(mean_interarrival=1.0, mean_holding=1.0, always_idle=True)
 
 
-@dataclass(frozen=True)
-class SuLocation:
-    """Secondary-user position and communication radius, arena units."""
-
-    x: float
-    y: float
-    comm_radius: float
-
-    def __post_init__(self):
-        if self.comm_radius <= 0:
-            raise ValueError(f"comm_radius must be positive, got {self.comm_radius}")
-
-    def distance_to(self, other: "SuLocation") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-
 def generate_trace(params: ChannelParams, n_slots: int, seed: int) -> np.ndarray:
     """One alternating occupancy trace: uint8 per slot, 0 idle, 1 busy.
 
@@ -103,27 +87,30 @@ def generate_multi(params_list, n_slots: int, seed: int) -> np.ndarray:
     ])
 
 
-def place_users(n: int, arena_side: float, radius: float, seed: int) -> list[SuLocation]:
-    """Drop n users uniformly over the [0, arena_side]^2 square."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+def place_users(n: int, arena_side: float, seed: int) -> np.ndarray:
+    """Drop n users uniformly over the [0, arena_side]^2 square: n x 2 (x, y)."""
     if arena_side <= 0:
         raise ValueError(f"arena_side must be positive, got {arena_side}")
+    return make_rng(seed).uniform(0.0, arena_side, size=(n, 2))
+
+
+def links(coords, radius: float) -> tuple[list, list]:
+    """(partners, weights) of users at coords, one distance per user pair.
+
+    partners[u] lists, in increasing index order, the other users within
+    radius of u (boundary inclusive). weights[u][v] = e^(-distance) is the
+    discount of v's ratings for u, so weights[u][u] = 1.
+    """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    rng = make_rng(seed)
-    coords = rng.uniform(0.0, arena_side, size=(n, 2))
-    return [SuLocation(float(x), float(y), radius) for x, y in coords]
-
-
-def neighbors(locs, k: int) -> set[int]:
-    """Indices within communication range of user k (boundary inclusive)."""
-    locs = list(locs)
-    if not 0 <= k < len(locs):
-        raise IndexError(f"user index {k} out of range for {len(locs)} users")
-    me = locs[k]
-    return {
-        j for j, other in enumerate(locs)
-        if j != k and me.distance_to(other) <= me.comm_radius
-    }
-
+    points = np.asarray(coords, dtype=float).tolist()
+    partners = [[] for _ in points]
+    weights = [[1.0] * len(points) for _ in points]
+    for u, (xu, yu) in enumerate(points):
+        for v, (xv, yv) in enumerate(points[:u]):
+            d = math.hypot(xu - xv, yu - yv)
+            if d <= radius:
+                partners[u].append(v)
+                partners[v].append(u)
+            weights[u][v] = weights[v][u] = math.exp(-d)
+    return partners, weights

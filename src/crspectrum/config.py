@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
+from .fusion import MAX_STATE_BITS
+
 SCENARIOS = ("prediction", "fusion", "recommendation", "decision-1", "decision-2")
 # input windows of the prediction scenario's ELM sweep
 SWEEP_WINDOWS = (2, 4, 6, 8, 10, 12, 14)
@@ -75,12 +77,9 @@ _SCENARIO_DEFAULTS = {
         holding_range=(1.0, 10.0), interarrival_range=(10.0, 20.0),
         last_channel_idle=True, request_prob=0.1, epsilon=0.0, reps=5,
     ),
-    "decision-2": dict(
-        n_su=30, n_channels=10, n_slots=1000,
-        holding_range=(1.0, 10.0), interarrival_range=(10.0, 20.0),
-        last_channel_idle=True, request_prob=0.1, epsilon=0.0, reps=5,
-    ),
 }
+# decision-2 adds user geometry, whose defaults are SimConfig's own
+_SCENARIO_DEFAULTS["decision-2"] = _SCENARIO_DEFAULTS["decision-1"]
 
 
 def default_config(scenario: str) -> SimConfig:
@@ -190,8 +189,10 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError(f"k ({cfg.k}) must not exceed t ({cfg.t})")
     if cfg.k_min > cfg.k_max:
         raise ConfigError("k_min must not exceed k_max")
-    if not 1 <= cfg.n_channels <= 20:
-        raise ConfigError("n_channels must be in [1, 20] to keep 2^M tabulable")
+    if not 1 <= cfg.n_channels <= MAX_STATE_BITS:
+        raise ConfigError(
+            f"n_channels must be in [1, {MAX_STATE_BITS}] to keep 2^M tabulable"
+        )
     if not 0 < cfg.alpha <= 1:
         raise ConfigError("alpha must be in (0, 1]")
     if not 0 <= cfg.gamma < 1:
@@ -210,9 +211,10 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError("error_rates must lie in [0, 1]")
     half = cfg.n_slots // 2  # the benchmarks train on the first half
     if cfg.scenario == "fusion":
-        if not 1 <= len(cfg.error_rates) <= 20:
+        if not 1 <= len(cfg.error_rates) <= MAX_STATE_BITS:
             raise ConfigError(
-                "fusion needs 1 to 20 error_rates to keep its state space tabulable"
+                f"fusion needs 1 to {MAX_STATE_BITS} error_rates to keep its "
+                "state space tabulable"
             )
         if half < max(cfg.window, 2):  # the HMM fits on two slots or more
             raise ConfigError(

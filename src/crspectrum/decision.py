@@ -1,12 +1,13 @@
 """Spectrum decision agents over the packed channel-occupancy state.
 
 The sensed per-channel states of one slot pack into an M-bit integer
-(``fusion.encode_state``); a shared Q-table (or an empirical MDP solved by
-value iteration) maps that state to a channel choice among the currently
-idle candidates. Rewards combine the collision outcome with two advisory
-bits: the predicted next state of the chosen channel (A) and whether the
-channel was on the recommendation list (B). A random-access baseline and
-the central node's random priority arbitration live here too.
+(``fusion.encode_state``); a shared Q-table maps that state to a channel
+choice among the idle candidates. (The engine's ``mdp``,
+``harness._argmax_reward``, is greedy on each (state, channel)'s mean
+reward; ``value_iteration`` serves acceptance criterion 7 only.) Rewards
+combine the collision outcome with bits A, the chosen channel's predicted
+next state, and B, whether it was on the recommendation list. Random
+access and the central node's random-priority arbitration live here too.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-# 2^M states must stay tabulable
-_MAX_CHANNELS = 20
+from .fusion import MAX_STATE_BITS
 
 
 # (A, B) -> no-collision reward; a collision negates it
@@ -61,9 +61,9 @@ class DecisionQTable:
 def new_decision_table(
     m_channels: int, alpha: float = 0.5, gamma: float = 0.5
 ) -> DecisionQTable:
-    if not 1 <= m_channels <= _MAX_CHANNELS:
+    if not 1 <= m_channels <= MAX_STATE_BITS:
         raise ValueError(
-            f"m_channels must be in [1, {_MAX_CHANNELS}], got {m_channels}"
+            f"m_channels must be in [1, {MAX_STATE_BITS}], got {m_channels}"
         )
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")

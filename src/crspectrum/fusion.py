@@ -18,8 +18,8 @@ import numpy as np
 
 from .seeding import make_rng
 
-# codes index tables of 2^n rows, so the bit count must stay tabulable
-_MAX_BITS = 20
+# codes index tables of 2^n rows (fusion's and the agents'): keep n tabulable
+MAX_STATE_BITS = 20
 
 
 def _bit_array(bits) -> np.ndarray:
@@ -36,8 +36,8 @@ def encode_state(bits):
     """Pack 0/1 bits along the last axis, bit i weighted 2^i."""
     bits = _bit_array(bits)
     n_bits = bits.shape[-1]
-    if n_bits > _MAX_BITS:
-        raise ValueError(f"at most {_MAX_BITS} bits, got {n_bits}")
+    if n_bits > MAX_STATE_BITS:
+        raise ValueError(f"at most {MAX_STATE_BITS} bits, got {n_bits}")
     codes = bits @ (1 << np.arange(n_bits, dtype=np.int64))
     return int(codes) if bits.ndim == 1 else codes
 
@@ -82,8 +82,8 @@ def train_fusion(
     T, n_users = local_bits.shape
     if T < 2:
         raise ValueError("need at least 2 slots to train")
-    if not 1 <= n_users <= _MAX_BITS:
-        raise ValueError(f"n_users must be in [1, {_MAX_BITS}], got {n_users}")
+    if not 1 <= n_users <= MAX_STATE_BITS:
+        raise ValueError(f"n_users must be in [1, {MAX_STATE_BITS}], got {n_users}")
     if not 0 <= gamma < 1:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
     if not 0 <= epsilon <= 1:

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelParams, generate_multi, generate_trace, place_users, neighbors
+from .channel import ChannelParams, generate_multi, generate_trace, links, place_users
 from .config import SWEEP_WINDOWS, SimConfig, config_to_dict
 from .decision import (
     arbitrate,
@@ -72,6 +72,7 @@ _TAG_LOCATIONS = 6
 _TAG_SIM = 7
 
 _METHOD_IDS = {"q": 0, "mdp": 1, "random": 2, "cf": 3}
+_REWARDED = frozenset({"q", "mdp"})  # policies whose reward reads bits A and B
 
 
 @dataclass
@@ -290,10 +291,10 @@ def _simulate_access(
     Accesses granted during the warm-up phase train the agents and seed
     the score matrix but are excluded from the metric counts. a_bits,
     an M x T list, gives advisory bit A per channel and slot; without it A
-    is persistence, the slot's own state. With weights
-    (decision-2), weights[u][v] discounts v's ratings for user u,
-    neighbor_lists[u] holds u's partners in increasing index order, and
-    a request takes the first one not busy. audit, when given, gets one
+    is persistence, the slot's own state. In decision-2, ``channel.links``
+    gives weights[u][v], the discount of v's ratings for user u, and
+    neighbor_lists[u], u's partners in increasing index order; a request
+    takes the first one not busy. audit, when given, gets one
     entry per slot: the PU-busy, held and free channel counts, each
     channel's holder and each user's receiving partner (-1 for none).
 
@@ -307,7 +308,7 @@ def _simulate_access(
     m_ch, n_slots = pu.shape
     n_su = cfg.n_su
     pu_list = pu.tolist()
-    rewarded = method in ("q", "mdp") or collect_events
+    rewarded = method in _REWARDED or collect_events
     keeps_matrix = rewarded or method == "cf"
     codes = encode_state(pu.T).tolist() if rewarded else None
 
@@ -599,21 +600,13 @@ def _run_access(cfg: SimConfig, collect_events: bool) -> RunSummary:
             params, cfg.n_slots, derive_seed(rep_seed, _TAG_CHANNELS, 1)
         )
         a_bits = None  # bit A feeds only the rewards and the event log
-        if collect_events or {"q", "mdp"} & set(methods):
+        if collect_events or _REWARDED & set(methods):
             a_bits = _advisory_bits(cfg, pu, _train_channel_elms(cfg, pu, rep_seed))
         weights = neighbor_lists = None
         if cfg.scenario == "decision-2":
-            locations = place_users(
-                cfg.n_su,
-                cfg.arena_side,
-                cfg.comm_radius,
-                derive_seed(rep_seed, _TAG_LOCATIONS),
-            )
-            neighbor_lists = [sorted(neighbors(locations, u)) for u in range(cfg.n_su)]
-            # distance discount of v's ratings for u, fixed for the repetition
-            weights = [
-                [math.exp(-u.distance_to(v)) for v in locations] for u in locations
-            ]
+            seed = derive_seed(rep_seed, _TAG_LOCATIONS)
+            coords = place_users(cfg.n_su, cfg.arena_side, seed)
+            neighbor_lists, weights = links(coords, cfg.comm_radius)
         for k in k_values:
             for method in methods:
                 res = _simulate_access(

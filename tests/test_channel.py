@@ -1,14 +1,21 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crspectrum.channel import (
     ChannelParams,
-    SuLocation,
     generate_multi,
     generate_trace,
-    neighbors,
+    links,
     place_users,
 )
+from crspectrum.config import default_config
+from crspectrum.harness import _TAG_LOCATIONS
+from crspectrum.seeding import derive_seed
 
 
 class TestChannelParams:
@@ -106,57 +113,92 @@ class TestGenerateMulti:
 
 class TestPlaceUsers:
     def test_empty(self):
-        assert place_users(0, 40.0, 5.0, seed=1) == []
+        assert place_users(0, 40.0, seed=1).shape == (0, 2)
 
     def test_inside_arena(self):
-        locs = place_users(30, 40.0, 5.0, seed=2)
-        assert len(locs) == 30
-        for loc in locs:
-            assert 0.0 <= loc.x <= 40.0
-            assert 0.0 <= loc.y <= 40.0
-            assert loc.comm_radius == 5.0
+        coords = place_users(30, 40.0, seed=2)
+        assert coords.shape == (30, 2)
+        assert ((coords >= 0.0) & (coords <= 40.0)).all()
 
     def test_quadrant_balance(self):
         # uniform placement: each quadrant of the square holds 250 +/- 50
         # of 1000 points (binomial n=1000 p=0.25, ~3.6 sigma slack)
-        locs = place_users(1000, 40.0, 5.0, seed=9)
-        counts = [0, 0, 0, 0]
-        for loc in locs:
-            q = (1 if loc.x >= 20.0 else 0) + (2 if loc.y >= 20.0 else 0)
-            counts[q] += 1
-        for c in counts:
-            assert 200 <= c <= 300, counts
+        coords = place_users(1000, 40.0, seed=9)
+        quadrant = (coords[:, 0] >= 20.0) + 2 * (coords[:, 1] >= 20.0)
+        counts = np.bincount(quadrant, minlength=4)
+        assert ((200 <= counts) & (counts <= 300)).all(), counts
 
     def test_determinism(self):
-        a = place_users(10, 40.0, 5.0, seed=4)
-        b = place_users(10, 40.0, 5.0, seed=4)
-        assert a == b
-
-    def test_bad_radius(self):
-        with pytest.raises(ValueError):
-            place_users(5, 40.0, -1.0, seed=0)
+        a = place_users(10, 40.0, seed=4)
+        b = place_users(10, 40.0, seed=4)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestNeighbors:
     def test_coincident_users(self):
-        locs = [SuLocation(1.0, 1.0, 5.0), SuLocation(1.0, 1.0, 5.0)]
-        assert neighbors(locs, 0) == {1}
-        assert neighbors(locs, 1) == {0}
+        partners, weights = links([(1.0, 1.0), (1.0, 1.0)], 5.0)
+        assert partners == [[1], [0]]
+        assert weights == [[1.0, 1.0], [1.0, 1.0]]
 
     def test_boundary_inclusive(self):
-        locs = [SuLocation(0.0, 0.0, 5.0), SuLocation(5.0, 0.0, 5.0)]
-        assert neighbors(locs, 0) == {1}
-        assert neighbors(locs, 1) == {0}
+        partners, weights = links([(0.0, 0.0), (5.0, 0.0)], 5.0)
+        assert partners == [[1], [0]]
+        assert weights[0][1] == weights[1][0] == math.exp(-5.0)
 
     def test_just_outside(self):
-        locs = [SuLocation(0.0, 0.0, 5.0), SuLocation(5.01, 0.0, 5.0)]
-        assert neighbors(locs, 0) == set()
-        assert neighbors(locs, 1) == set()
+        partners, _ = links([(0.0, 0.0), (5.01, 0.0)], 5.0)
+        assert partners == [[], []]
 
     def test_symmetric_irreflexive(self):
-        locs = place_users(25, 40.0, 5.0, seed=13)
-        for i in range(25):
-            ns = neighbors(locs, i)
+        partners, weights = links(place_users(25, 40.0, seed=13), 5.0)
+        for i, ns in enumerate(partners):
             assert i not in ns
+            assert ns == sorted(ns)
             for j in ns:
-                assert i in neighbors(locs, j)
+                assert i in partners[j]
+            for j in range(25):
+                assert weights[i][j] == weights[j][i]
+
+    def test_bad_radius(self):
+        for radius in (0.0, -1.0):
+            with pytest.raises(ValueError, match="radius"):
+                links([(0.0, 0.0)], radius)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(0.0, 12.0), st.floats(0.0, 12.0)), max_size=12),
+        st.sampled_from([0.5, 2.0, 5.0]),
+    )
+    def test_match_brute_force_per_ordered_pair(self, points, radius):
+        partners, weights = links(points, radius)
+        n = len(points)
+        for u, (xu, yu) in enumerate(points):
+            assert weights[u][u] == 1.0
+            want = []
+            for v, (xv, yv) in enumerate(points):
+                d = math.hypot(xu - xv, yu - yv)
+                if v != u and d <= radius:
+                    want.append(v)
+                assert weights[u][v] == math.exp(-d)
+            assert partners[u] == want
+        assert len(partners) == len(weights) == n
+
+
+class TestDefaultGeometryPinned:
+    def test_decision_2_geometry_at_master_seeds_0_and_1(self):
+        # partner lists and float.hex of every weight, at every repetition
+        # of the default decision-2 config, recorded from the per-user
+        # location objects this function replaced
+        cfg = default_config("decision-2")
+        h = hashlib.sha256()
+        for master in (0, 1):
+            for rep in range(cfg.reps):
+                seed = derive_seed(derive_seed(master, rep), _TAG_LOCATIONS)
+                coords = place_users(cfg.n_su, cfg.arena_side, seed)
+                partners, weights = links(coords, cfg.comm_radius)
+                h.update(repr(partners).encode())
+                h.update(" ".join(w.hex() for row in weights for w in row).encode())
+        assert (cfg.reps, cfg.n_su, cfg.arena_side, cfg.comm_radius) == (5, 30, 40.0, 5.0)
+        assert h.hexdigest() == (
+            "37b687883504e00747f933b20d02a7a12071165e8eb54d8568730e4138cc76a0"
+        )

@@ -79,10 +79,13 @@ class TestExitCodes:
             ("scenario = prediction\nmean_holding = nan\n", "mean_holding"),
             ("scenario = decision-1\nholding_range = 1,inf\n", "holding_range"),
             ("scenario = decision-2\narena_side = nan\n", "arena_side"),
+            # validate_config is the one guard: placement takes no radius
+            ("scenario = decision-2\ncomm_radius = 0\n", "comm_radius"),
+            ("scenario = decision-2\narena_side = 0\n", "arena_side"),
         ],
         ids=["fusion-no-rates", "fusion-21-rates", "fusion-short-horizon",
              "prediction-short-horizon", "nan-mean-holding", "inf-holding-range",
-             "nan-arena-side"],
+             "nan-arena-side", "zero-comm-radius", "zero-arena-side"],
     )
     def test_config_the_run_cannot_use_is_config_error(self, tmp_path, capsys, text, message):
         conf = write_conf(tmp_path, text)

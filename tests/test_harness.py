@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import os
 from dataclasses import replace
 from unittest import mock
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crspectrum import harness
-from crspectrum.channel import neighbors, place_users
+from crspectrum.channel import links, place_users
 from crspectrum.config import default_config
 from crspectrum.harness import (
     _advisory_bits,
@@ -194,9 +193,8 @@ def engine_cases(draw):
     located = draw(st.booleans())
     weights = neighbor_lists = None
     if located:
-        locs = place_users(n_su, draw(st.sampled_from([4.0, 15.0])), 5.0, seed)
-        neighbor_lists = [sorted(neighbors(locs, u)) for u in range(n_su)]
-        weights = [[math.exp(-u.distance_to(v)) for v in locs] for u in locs]
+        coords = place_users(n_su, draw(st.sampled_from([4.0, 15.0])), seed)
+        neighbor_lists, weights = links(coords, 5.0)
     return dict(
         cfg=cfg,
         pu=pu.astype(np.int64),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crspectrum.channel import SuLocation
+from crspectrum.channel import links
 from crspectrum.recommender import (
     ScoreMatrix,
     default_threshold,
@@ -98,28 +98,28 @@ class TestFinalScore:
         assert _plain(m, now=10, window=10) == [4.0]
 
 
-def _weights_for(locs, target):
+def _weights_for(coords, target):
     """The target's row of distance weights, as the harness builds it."""
-    return [math.exp(-locs[target].distance_to(other)) for other in locs]
+    return links(coords, 5.0)[1][target]
 
 
 class TestFinalScoreLocated:
     def test_zero_distance_matches_plain(self):
         m = _matrix_with([(1, 0, 0, 4)])
-        locs = [SuLocation(3.0, 3.0, 5.0), SuLocation(3.0, 3.0, 5.0)]
-        got = final_score_located(m, _weights_for(locs, 1), now=2, window=5)
+        coords = [(3.0, 3.0), (3.0, 3.0)]
+        got = final_score_located(m, _weights_for(coords, 1), now=2, window=5)
         assert got == _plain(m, now=2, window=5) == [4.0]
 
     def test_log_two_distance_halves(self):
         m = _matrix_with([(1, 0, 0, 4)])
-        locs = [SuLocation(0.0, 0.0, 5.0), SuLocation(math.log(2), 0.0, 5.0)]
-        got = final_score_located(m, _weights_for(locs, 1), now=2, window=5)
+        coords = [(0.0, 0.0), (math.log(2), 0.0)]
+        got = final_score_located(m, _weights_for(coords, 1), now=2, window=5)
         assert got == [pytest.approx(2.0, abs=1e-12)]
 
     def test_far_records_vanish(self):
         m = _matrix_with([(1, 0, 0, 5)])
-        locs = [SuLocation(0.0, 0.0, 5.0), SuLocation(60.0, 0.0, 5.0)]
-        (got,) = final_score_located(m, _weights_for(locs, 1), now=2, window=5)
+        coords = [(0.0, 0.0), (60.0, 0.0)]
+        (got,) = final_score_located(m, _weights_for(coords, 1), now=2, window=5)
         assert 0.0 < got < 1e-20
 
     def test_one_score_per_channel_none_where_untried(self):
@@ -141,12 +141,9 @@ class TestFinalScoreLocated:
                 for t, _ in zip(sorted(rng.integers(0, 10, size=n_rec)), range(n_rec))
             ]
             m = _matrix_with(recs + [(0, 3, 1, 0)])  # pad user/channel counts
-            locs = [
-                SuLocation(float(x), float(y), 5.0)
-                for x, y in rng.uniform(0, 10, size=(4, 2))
-            ]
+            coords = rng.uniform(0, 10, size=(4, 2))
             located = final_score_located(
-                m, _weights_for(locs, 3), now=11, window=20
+                m, _weights_for(coords, 3), now=11, window=20
             )
             for ch, score in enumerate(located):
                 plain = final_score(m, ch, now=11, window=20)
@@ -192,8 +189,7 @@ class TestWindowQueriesMatchBruteForce:
             t += step
             appended.append((su, ch, t, rating))
             m.append(su, ch, t, rating)
-        locs = [SuLocation(x, y, 5.0) for x, y in xy]
-        row = _weights_for(locs, 0)
+        row = _weights_for(xy, 0)
 
         def records(ch, now, window):
             return [
@@ -227,7 +223,7 @@ class TestWindowQueriesMatchBruteForce:
                     continue
                 weighted = 0.0
                 for su, rating in recs:
-                    weighted += rating * math.exp(-locs[0].distance_to(locs[su]))
+                    weighted += rating * row[su]
                 assert score == weighted / len(recs)
 
 
