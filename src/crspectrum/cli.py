@@ -11,55 +11,51 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .config import (
+    SCENARIOS,
     ConfigError,
     SimConfig,
     _parse_pairs,
     default_config,
-    parse_config_text,
     validate_config,
 )
 from .harness import emit_outputs, run_scenario
 
-# CLI spellings; internal names keep the scenario number separated
-_SCENARIO_FLAGS = {
-    "prediction": "prediction",
-    "fusion": "fusion",
-    "recommendation": "recommendation",
-    "decision1": "decision-1",
-    "decision2": "decision-2",
-}
+# CLI spellings drop the dash that keeps the scenario number separated
+_SCENARIO_FLAGS = {name.replace("-", ""): name for name in SCENARIOS}
 
 _FORMATS = ("json", "csv", "svg")
 
 
-def _build_config(args, config_text) -> SimConfig:
-    cli_scenario = _SCENARIO_FLAGS[args.scenario] if args.scenario else None
-    scenario = cli_scenario
-    if scenario is None and config_text is not None:
-        # the scenario picks the defaults the file's other keys override
-        scenario = _parse_pairs(config_text).get("scenario")
+def _build_config(args) -> SimConfig:
+    """Scenario defaults, then the file, then --seed/--reps; validated once."""
+    pairs = {}
+    if args.config is not None:
+        try:
+            pairs = _parse_pairs(Path(args.config).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config} is not UTF-8 text: {exc}")
+    scenario = pairs.get("scenario")
+    if args.scenario is not None:
+        flag = _SCENARIO_FLAGS[args.scenario]
+        if scenario not in (None, flag):
+            raise ConfigError(
+                f"--scenario {args.scenario} conflicts with scenario = {scenario} "
+                "in the config file"
+            )
+        scenario = flag
     if scenario is None:
         raise ConfigError(
             "no scenario given; pass --scenario or put scenario = ... in the config file"
         )
-    cfg = default_config(scenario)
-    if config_text is not None:
-        cfg = parse_config_text(config_text, cfg)
-        if cli_scenario is not None and cfg.scenario != cli_scenario:
-            raise ConfigError(
-                f"--scenario {args.scenario} conflicts with scenario = {cfg.scenario} "
-                "in the config file"
-            )
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.reps is not None:
-        overrides["reps"] = args.reps
-    if overrides:
-        cfg = replace(cfg, **overrides)
-        validate_config(cfg)
+    for name in ("seed", "reps"):
+        if getattr(args, name) is not None:
+            pairs[name] = getattr(args, name)
+    # the scenario picks the defaults the file's other keys override
+    cfg = replace(default_config(scenario), **pairs)
+    validate_config(cfg)
     return cfg
 
 
@@ -98,14 +94,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"unknown output formats {unknown}; expected a subset of json,csv,svg"
             )
-        config_text = None
-        if args.config is not None:
-            try:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    config_text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise ConfigError(f"{args.config} is not UTF-8 text: {exc}")
-        cfg = _build_config(args, config_text)
+        cfg = _build_config(args)
         summary = run_scenario(cfg, collect_events=args.verbose)
         written = emit_outputs(summary, formats, args.out, verbose=args.verbose)
     except ConfigError as exc:

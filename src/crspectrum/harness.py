@@ -16,13 +16,13 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .channel import ChannelParams, generate_multi, generate_trace, links, place_users
-from .config import SWEEP_WINDOWS, SimConfig, config_to_dict
+from .config import SWEEP_WINDOWS, SimConfig
 from .decision import (
     arbitrate,
     new_decision_table,
@@ -128,7 +128,7 @@ def _summary(cfg: SimConfig, rows, group, metrics, **extra) -> RunSummary:
     """The run's summary: config echo, seeds, rows and per-group means."""
     return RunSummary(
         scenario=cfg.scenario,
-        config=config_to_dict(cfg),
+        config=asdict(cfg),
         seeds=list(range(cfg.reps)),
         rows=rows,
         aggregates=_mean_rows(rows, group, metrics),
@@ -336,7 +336,11 @@ def _simulate_access(
     if a_bits is None:
         a_bits = pu_list
     shared_t, shared = -1, None  # slot and value of the last shared listing
-    if not cfg.burst_requests:
+    if cfg.burst_requests:
+        # every user requests every t slots, nobody in between
+        everyone = list(range(n_su))
+        request_lists = [everyone if t % cfg.t == 0 else [] for t in range(n_slots)]
+    else:
         request_lists = _request_lists(rng_req, n_slots, n_su, cfg.request_prob)
 
     def resolve(su, channel, t, collision):
@@ -411,14 +415,8 @@ def _simulate_access(
         for su, c in ending:
             resolve(su, c, t, collision=t < hold_t0[su] + k)
 
-        # who requests: by coin flip or in periodic bursts; busy users
-        # never do
-        if cfg.burst_requests:
-            requesting = (
-                [u for u in range(n_su) if not busy[u]] if t % cfg.t == 0 else ()
-            )
-        else:
-            requesting = [u for u in request_lists[t] if not busy[u]]
+        # who requests: busy users never do
+        requesting = [u for u in request_lists[t] if not busy[u]]
         order = arbitrate(requesting, rng_arb)
         # idle, unheld channels, in increasing order; grants must fit the
         # horizon

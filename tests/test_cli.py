@@ -92,6 +92,21 @@ class TestExitCodes:
         assert main(["--config", conf, "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("n_slots = 2.5", "n_slots"),
+            ("alpha = x", "alpha"),
+            ("burst_requests = maybe", "burst_requests"),
+            ("holding_range = 1,x", "holding_range"),
+        ],
+        ids=["int", "float", "bool", "tuple"],
+    )
+    def test_unparseable_value_names_its_key(self, tmp_path, capsys, line, key):
+        conf = write_conf(tmp_path, FAST_RECO + line + "\n")
+        assert main(["--config", conf, "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_run_with_no_counted_access_writes_no_chart(self, tmp_path, capsys):
         # the warm-up covers every slot, so every rate in every series is null
         conf = write_conf(
@@ -132,6 +147,18 @@ class TestConfigPrecedence:
         assert payload["config"]["seed"] == 9
         assert payload["config"]["reps"] == 1
         assert len(payload["seeds"]) == 1
+
+    def test_flag_overrides_a_bad_file_value(self, tmp_path, capsys):
+        # the merged config is validated, not the file alone
+        conf = write_conf(tmp_path, FAST_RECO + "reps = 0\n")
+        code = main(
+            ["--config", conf, "--reps", "1",
+             "--out", str(tmp_path / "out"), "--format", "json"]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out.strip()
+        payload = json.loads(open(printed, encoding="utf-8").read())
+        assert payload["config"]["reps"] == 1
 
     def test_scenario_token_maps_to_internal_name(self, tmp_path, capsys):
         code = main(

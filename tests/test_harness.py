@@ -135,9 +135,18 @@ class TestEngineInvariants:
             cfg, pu, "random", k=3, env_seed=5, act_seed=6, audit=audit
         )
         assert len(audit) == 400
-        for entry in audit:
-            assert entry["pu_busy"] + entry["held"] + entry["free"] == 4
-            assert entry["held"] >= 0 and entry["free"] >= 0
+        for t, entry in enumerate(audit):
+            # recount from the trace and the holders, not the audit's sums:
+            # a held channel is PU-idle and a user holds one channel at most
+            busy = [c for c in range(4) if pu[c, t] == 1]
+            held = [c for c in range(4) if entry["holder"][c] >= 0]
+            free = [c for c in range(4) if c not in busy and c not in held]
+            assert not set(busy) & set(held)
+            holders = [entry["holder"][c] for c in held]
+            assert len(set(holders)) == len(holders)
+            assert (entry["pu_busy"], entry["held"], entry["free"]) == (
+                len(busy), len(held), len(free)
+            )
 
     def test_events_describe_every_counted_access(self):
         cfg = small_config("decision-1", n_su=8, n_channels=4, n_slots=400)
