@@ -63,7 +63,6 @@ from .predictors import (
     hmm_fit,
     hmm_predict,
     make_training_set,
-    pinv_solve,
     threshold,
     transition_error_fraction,
 )
@@ -75,7 +74,7 @@ from .recommender import (
     recommend,
     score_access,
 )
-from .seeding import derive_seed, make_rng, splitmix64
+from .seeding import derive_seed, make_rng
 from .svg import line_chart
 
 __all__ = [
@@ -120,7 +119,6 @@ __all__ = [
     "make_training_set",
     "new_decision_table",
     "noisy_local_predictions",
-    "pinv_solve",
     "place_users",
     "q_update",
     "random_access",
@@ -130,7 +128,6 @@ __all__ = [
     "score_access",
     "select_action",
     "soft_fuse",
-    "splitmix64",
     "summary_to_csv",
     "summary_to_json",
     "threshold",

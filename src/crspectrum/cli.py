@@ -96,7 +96,7 @@ def main(argv=None) -> int:
             )
         cfg = _build_config(args)
         summary = run_scenario(cfg, collect_events=args.verbose)
-        written = emit_outputs(summary, formats, args.out, verbose=args.verbose)
+        written = emit_outputs(summary, formats, args.out)
     except ConfigError as exc:
         print(f"simulate: config error: {exc}", file=sys.stderr)
         return 2

@@ -180,6 +180,11 @@ def validate_config(cfg: SimConfig) -> None:
                 f"fusion needs 1 to {MAX_STATE_BITS} error_rates to keep its "
                 "state space tabulable"
             )
+        if cfg.n_su != len(cfg.error_rates):  # one local predictor per user
+            raise ConfigError(
+                f"fusion runs one user per error rate: n_su = {cfg.n_su} but "
+                f"{len(cfg.error_rates)} error_rates"
+            )
         if half < max(cfg.window, 2):  # the HMM fits on two slots or more
             raise ConfigError(
                 f"fusion needs n_slots // 2 >= max(window, 2) = "

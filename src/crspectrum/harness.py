@@ -16,6 +16,7 @@ import json
 import math
 import os
 import time
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -61,6 +62,7 @@ from .recommender import (
     score_access,
 )
 from .seeding import derive_seed, make_rng
+from .svg import line_chart
 
 # sub-seed namespace per repetition
 _TAG_CHANNELS = 1
@@ -299,8 +301,8 @@ def _simulate_access(
     channel's holder and each user's receiving partner (-1 for none).
 
     Each policy reads part of the engine's state, and only that part is
-    kept: q learns its Q table and mdp its per-(state, channel) reward
-    sums from a reward built on bits A and B, where B reads the score
+    kept: q learns its Q table and mdp its per-(visited state, channel)
+    reward sums from a reward built on bits A and B, where B reads the score
     matrix; cf reads the score matrix alone; random reads none of it.
     Events report A, B and the reward, so collecting them computes those
     for every policy.
@@ -319,8 +321,8 @@ def _simulate_access(
     if method == "q":
         table = new_decision_table(m_ch, alpha=cfg.alpha, gamma=cfg.gamma)
     elif method == "mdp":
-        r_sums = [[0.0] * m_ch for _ in range(1 << m_ch)]
-        r_counts = [[0] * m_ch for _ in range(1 << m_ch)]
+        # visited state (at most one per slot) -> per-channel sums, counts
+        stats = defaultdict(lambda: ([0.0] * m_ch, [0] * m_ch))
 
     matrix = ScoreMatrix(n_su=n_su, m_ch=m_ch)
     holder = [-1] * m_ch   # channel -> su holding it
@@ -330,7 +332,7 @@ def _simulate_access(
     partner = [-1] * n_su  # transmitting su -> receiving su (decision-2)
     busy = [False] * n_su  # holds a channel or receives for a holder
 
-    n_total = n_collision = d_success = 0
+    n_collision = d_success = 0
     events = [] if collect_events else None
     half_horizon = max(1, n_slots // 2)
     if a_bits is None:
@@ -344,7 +346,7 @@ def _simulate_access(
         request_lists = _request_lists(rng_req, n_slots, n_su, cfg.request_prob)
 
     def resolve(su, channel, t, collision):
-        nonlocal n_total, n_collision, d_success
+        nonlocal n_collision, d_success
         t0 = hold_t0[su]
         rating = score_access(t - t0 if collision else k, k)
         holder[channel] = -1
@@ -360,11 +362,11 @@ def _simulate_access(
             if method == "q":
                 q_update(table, state, channel, r, codes[t] if t < n_slots else state)
             elif method == "mdp":
-                r_sums[state][channel] += r
-                r_counts[state][channel] += 1
+                sums, counts = stats[state]
+                sums[channel] += r
+                counts[channel] += 1
         counted = t0 >= cfg.warmup_slots
         if counted:
-            n_total += 1
             if collision:
                 n_collision += 1
             else:
@@ -405,7 +407,7 @@ def _simulate_access(
             shared = scores, recommend(scores, _threshold_of(cfg, scores))
         return shared
 
-    for t in range(n_slots):
+    for t in range(n_slots + 1):
         # resolve running holds before anything else this slot, in user order
         ending = sorted(
             (su, c)
@@ -414,6 +416,8 @@ def _simulate_access(
         )
         for su, c in ending:
             resolve(su, c, t, collision=t < hold_t0[su] + k)
+        if t == n_slots:
+            break  # grants fit the horizon, so every hold ended cleanly here
 
         # who requests: busy users never do
         requesting = [u for u in request_lists[t] if not busy[u]]
@@ -445,7 +449,7 @@ def _simulate_access(
                 eps_t = cfg.epsilon * max(0.0, 1.0 - t / half_horizon)
                 channel = select_action(table, codes[t], candidates, eps_t, rng_act)
             elif method == "mdp":
-                channel = _argmax_reward(r_sums, r_counts, codes[t], candidates)
+                channel = _argmax_reward(stats.get(codes[t]), candidates)
             elif method == "cf":
                 scores, recommended = listing(su, t)
                 listed = [c for c in candidates if c in recommended]
@@ -470,13 +474,8 @@ def _simulate_access(
         if audit is not None:
             _append_audit(audit, t, pu_list, holder, partner, m_ch)
 
-    # flush holds that run past the horizon: grants are fitted to the
-    # horizon, so anything still alive completed its K slots cleanly
-    for su, c in sorted((su, c) for c, su in enumerate(holder) if su >= 0):
-        resolve(su, c, n_slots, collision=False)
-
     return {
-        "n_total": n_total,
+        "n_total": n_collision + d_success,
         "n_collision": n_collision,
         "d_success": d_success,
         "events": events,
@@ -517,12 +516,14 @@ def _threshold_of(cfg: SimConfig, scores):
     return 0.0 if th is None else th
 
 
-def _argmax_reward(r_sums, r_counts, state, candidates):
+def _argmax_reward(stats, candidates):
     # empirical mean reward per action; channel evolution ignores actions,
     # so the continuation term is action-independent and greedy-on-R is the
     # value-iteration-greedy choice. candidates are in increasing order, so
-    # ties go to the lowest channel.
-    sums, counts = r_sums[state], r_counts[state]
+    # ties go to the lowest channel, as in an unvisited state (stats None).
+    if stats is None:
+        return candidates[0]
+    sums, counts = stats
     best, best_r = None, -math.inf
     for c in candidates:
         n = counts[c]
@@ -733,17 +734,15 @@ def summary_to_csv(summary: RunSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_outputs(
-    summary: RunSummary, formats, out_dir: str, verbose: bool = False
-) -> list:
+def emit_outputs(summary: RunSummary, formats, out_dir: str) -> list:
     """Write the summary to out_dir; returns the created file paths.
 
     formats is an iterable drawn from {json, csv, svg}. File names embed
     the scenario and master seed. A series with no defined point gets no
-    chart. Unwritable paths raise OSError.
+    chart. A summary that carries events (run_scenario with collect_events)
+    also gets its event log, one JSON object per line. Unwritable paths
+    raise OSError.
     """
-    from .svg import line_chart
-
     formats = set(formats)
     unknown = formats - {"json", "csv", "svg"}
     if unknown:
@@ -776,7 +775,7 @@ def emit_outputs(
                 series={k: lines[k] for k in sorted(lines)},
             )
             _write(f"{base}_{name}.svg", svg_text)
-    if verbose and summary.events:
+    if summary.events:
         text = "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in summary.events)
         _write(f"{base}_events.jsonl", text)
     return written

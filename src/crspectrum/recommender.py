@@ -32,7 +32,7 @@ class ScoreMatrix:
     time-ordered log keeps every record's (su, channel, rating) and its
     time, so a recent-window query bisects it and walks just the window's
     records. Each channel also keeps its records' times and a running sum
-    of their ratings, so one channel's window total is two bisections.
+    of their ratings, so one channel's window mean is two bisections.
     """
 
     n_su: int
@@ -59,23 +59,11 @@ class ScoreMatrix:
         self._log.append((su, channel, rating))
         self._log_times.append(t)
 
-    def _window(self, channel: int, now: int, window: int) -> tuple:
-        """Index range of a channel's records with now - window <= t < now."""
-        times = self._times[channel]
-        j = bisect.bisect_left(times, now)
-        return bisect.bisect_left(times, now - window, 0, j), j
-
     def window_records(self, channel: int, now: int, window: int) -> list:
         """(su, rating) per record of a channel in the `window` slots before now."""
         j = bisect.bisect_left(self._log_times, now)
         i = bisect.bisect_left(self._log_times, now - window, 0, j)
         return [(su, r) for su, ch, r in self._log[i:j] if ch == channel]
-
-    def window_total(self, channel: int, now: int, window: int) -> tuple:
-        """(sum of ratings, record count) over the same window."""
-        i, j = self._window(channel, now, window)
-        cum = self._cum[channel]
-        return cum[j] - cum[i], j - i
 
 
 def final_score(
@@ -87,10 +75,13 @@ def final_score(
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    total, count = matrix.window_total(channel, now, window)
-    if count == 0:
+    times = matrix._times[channel]
+    j = bisect.bisect_left(times, now)
+    i = bisect.bisect_left(times, now - window, 0, j)
+    if i == j:
         return None
-    return total / count
+    cum = matrix._cum[channel]
+    return (cum[j] - cum[i]) / (j - i)
 
 
 def final_score_located(

@@ -74,6 +74,7 @@ class TestExitCodes:
             ("scenario = fusion\nerror_rates = none\n", "error_rates"),
             ("scenario = fusion\nerror_rates = " + ",".join(["0.1"] * 21) + "\n",
              "1 to 20 error_rates"),
+            ("scenario = fusion\nn_su = 7\n", "n_su = 7 but 3 error_rates"),
             ("scenario = fusion\nn_slots = 19\nwindow = 10\n", "n_slots // 2"),
             ("scenario = prediction\nn_slots = 29\n", "n_slots // 2 > 14"),
             ("scenario = prediction\nmean_holding = nan\n", "mean_holding"),
@@ -83,9 +84,10 @@ class TestExitCodes:
             ("scenario = decision-2\ncomm_radius = 0\n", "comm_radius"),
             ("scenario = decision-2\narena_side = 0\n", "arena_side"),
         ],
-        ids=["fusion-no-rates", "fusion-21-rates", "fusion-short-horizon",
-             "prediction-short-horizon", "nan-mean-holding", "inf-holding-range",
-             "nan-arena-side", "zero-comm-radius", "zero-arena-side"],
+        ids=["fusion-no-rates", "fusion-21-rates", "fusion-n-su-not-rates",
+             "fusion-short-horizon", "prediction-short-horizon", "nan-mean-holding",
+             "inf-holding-range", "nan-arena-side", "zero-comm-radius",
+             "zero-arena-side"],
     )
     def test_config_the_run_cannot_use_is_config_error(self, tmp_path, capsys, text, message):
         conf = write_conf(tmp_path, text)

@@ -32,6 +32,10 @@ REDUCED = {
         "decision-2",
         dict(n_slots=300, k_max=5, reps=1, warmup_slots=60, request_prob=1.0),
     ),
+    # a 2^14-code state space: mdp keeps statistics for visited states only
+    "decision-1-14-channels": (
+        "decision-1", dict(n_channels=14, n_slots=300, k_max=5, reps=1, warmup_slots=60)
+    ),
     # mostly one requester per slot: arbitration and random access with a
     # single entry
     "decision-1-two-su": (

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -162,6 +163,21 @@ class TestEngineInvariants:
         for ev in res["events"]:
             assert 0 <= ev["action"] < 4
             assert ev["A"] in (0, 1) and ev["B"] in (0, 1)
+
+    def test_mdp_memory_follows_the_visited_states(self):
+        # at the 20-channel maximum, statistics for all 2^20 states would
+        # take hundreds of MiB; a 300-slot run visits 300 states at most
+        cfg = small_config("decision-1", n_channels=20, warmup_slots=60)
+        rng = np.random.default_rng(6)
+        pu = (rng.random((20, 300)) < 0.3).astype(np.int64)
+        tracemalloc.start()
+        try:
+            res = _simulate_access(cfg, pu, "mdp", k=3, env_seed=5, act_seed=6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res["n_total"] > 0
+        assert peak < 8 * 2**20
 
     def test_grants_fit_horizon(self):
         # every counted access must have started k slots before the end
@@ -459,9 +475,7 @@ class TestDegenerateTraces:
 class TestOutputs:
     def test_emit_writes_requested_formats(self, tmp_path):
         summary = run_scenario(small_config("decision-1", seed=13))
-        written = emit_outputs(
-            summary, ["json", "csv", "svg"], str(tmp_path), verbose=False
-        )
+        written = emit_outputs(summary, ["json", "csv", "svg"], str(tmp_path))
         names = sorted(os.path.basename(p) for p in written)
         assert names == [
             "decision-1_seed13_d_e_vs_k.svg",
@@ -484,9 +498,7 @@ class TestOutputs:
 
     def test_scenario_without_series_skips_svg(self, tmp_path):
         summary = run_scenario(small_config("recommendation", seed=13))
-        written = emit_outputs(
-            summary, ["json", "csv", "svg"], str(tmp_path), verbose=False
-        )
+        written = emit_outputs(summary, ["json", "csv", "svg"], str(tmp_path))
         assert not [p for p in written if p.endswith(".svg")]
         json.loads((tmp_path / "recommendation_seed13_summary.json").read_text())
 
@@ -494,7 +506,7 @@ class TestOutputs:
         cfg = small_config("recommendation", seed=13, reps=1)
         summary = run_scenario(cfg, collect_events=True)
         assert summary.events
-        written = emit_outputs(summary, ["json"], str(tmp_path), verbose=True)
+        written = emit_outputs(summary, ["json"], str(tmp_path))
         event_path = [p for p in written if p.endswith("events.jsonl")][0]
         with open(event_path, "r", encoding="utf-8") as fh:
             parsed = [json.loads(line) for line in fh]
