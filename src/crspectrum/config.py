@@ -14,6 +14,8 @@ from typing import Optional
 from .fusion import MAX_STATE_BITS
 
 SCENARIOS = ("prediction", "fusion", "recommendation", "decision-1", "decision-2")
+# the scenarios that run the slot engine
+ACCESS_SCENARIOS = ("recommendation", "decision-1", "decision-2")
 # input windows of the prediction scenario's ELM sweep
 SWEEP_WINDOWS = (2, 4, 6, 8, 10, 12, 14)
 
@@ -31,7 +33,7 @@ class SimConfig:
     n_channels: int = 10       # licensed channels
     n_slots: int = 1000        # simulated slots per run
     k: int = 3                 # transmission length, slots
-    t: int = 3                 # request period, slots (burst mode); keep k <= t
+    t: int = 3                 # request period, slots (burst mode); keep K <= t
     k_min: int = 3             # K sweep bounds for the decision scenarios
     k_max: int = 10
     window: int = 10           # predictor input size
@@ -149,10 +151,16 @@ def validate_config(cfg: SimConfig) -> None:
             raise ConfigError(f"{name} must be a positive count")
     if cfg.warmup_slots < 0:
         raise ConfigError("warmup_slots must be >= 0")
-    if cfg.k > cfg.t:
-        raise ConfigError(f"k ({cfg.k}) must not exceed t ({cfg.t})")
     if cfg.k_min > cfg.k_max:
         raise ConfigError("k_min must not exceed k_max")
+    if cfg.burst_requests and cfg.scenario in ACCESS_SCENARIOS:
+        # t is read only in burst mode: every hold ends before the next burst
+        name = "k" if cfg.scenario == "recommendation" else "k_max"
+        if getattr(cfg, name) > cfg.t:
+            raise ConfigError(
+                f"{name} ({getattr(cfg, name)}) must not exceed t ({cfg.t}) "
+                "with burst_requests"
+            )
     if not 1 <= cfg.n_channels <= MAX_STATE_BITS:
         raise ConfigError(
             f"n_channels must be in [1, {MAX_STATE_BITS}] to keep 2^M tabulable"
@@ -173,6 +181,11 @@ def validate_config(cfg: SimConfig) -> None:
         raise ConfigError("error_rates must list at least one rate")
     if any(not 0 <= e <= 1 for e in cfg.error_rates):
         raise ConfigError("error_rates must lie in [0, 1]")
+    if cfg.scenario not in ACCESS_SCENARIOS and cfg.n_channels != 1:
+        # the benchmarks read one channel's trace
+        raise ConfigError(
+            f"{cfg.scenario} runs on one channel, got n_channels = {cfg.n_channels}"
+        )
     half = cfg.n_slots // 2  # the benchmarks train on the first half
     if cfg.scenario == "fusion":
         if not 1 <= len(cfg.error_rates) <= MAX_STATE_BITS:

@@ -16,14 +16,13 @@ import json
 import math
 import os
 import time
-from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .channel import ChannelParams, generate_multi, generate_trace, links, place_users
-from .config import SWEEP_WINDOWS, SimConfig
+from .config import ACCESS_SCENARIOS, SWEEP_WINDOWS, SimConfig
 from .decision import (
     arbitrate,
     new_decision_table,
@@ -321,8 +320,7 @@ def _simulate_access(
     if method == "q":
         table = new_decision_table(m_ch, alpha=cfg.alpha, gamma=cfg.gamma)
     elif method == "mdp":
-        # visited state (at most one per slot) -> per-channel sums, counts
-        stats = defaultdict(lambda: ([0.0] * m_ch, [0] * m_ch))
+        stats = {}  # visited state (at most one per slot) -> per-channel sums, counts
 
     matrix = ScoreMatrix(n_su=n_su, m_ch=m_ch)
     holder = [-1] * m_ch   # channel -> su holding it
@@ -337,75 +335,13 @@ def _simulate_access(
     half_horizon = max(1, n_slots // 2)
     if a_bits is None:
         a_bits = pu_list
-    shared_t, shared = -1, None  # slot and value of the last shared listing
+    listing_key = None  # t, or (t, su) with weights, of the last listing
     if cfg.burst_requests:
         # every user requests every t slots, nobody in between
         everyone = list(range(n_su))
         request_lists = [everyone if t % cfg.t == 0 else [] for t in range(n_slots)]
     else:
         request_lists = _request_lists(rng_req, n_slots, n_su, cfg.request_prob)
-
-    def resolve(su, channel, t, collision):
-        nonlocal n_collision, d_success
-        t0 = hold_t0[su]
-        rating = score_access(t - t0 if collision else k, k)
-        holder[channel] = -1
-        busy[su] = False
-        if partner[su] >= 0:
-            busy[partner[su]] = False
-            partner[su] = -1
-        if keeps_matrix:
-            matrix.append(su, channel, t, rating)
-        if rewarded:
-            state, a = codes[t0], a_bits[channel][t0]
-            r = reward(collision, a, hold_b[su])
-            if method == "q":
-                q_update(table, state, channel, r, codes[t] if t < n_slots else state)
-            elif method == "mdp":
-                sums, counts = stats[state]
-                sums[channel] += r
-                counts[channel] += 1
-        counted = t0 >= cfg.warmup_slots
-        if counted:
-            if collision:
-                n_collision += 1
-            else:
-                d_success += 1
-        if events is not None:
-            events.append(
-                {
-                    "slot": t,
-                    "t0": t0,
-                    "su": su,
-                    "state": state,
-                    "action": channel,
-                    "A": a,
-                    "B": hold_b[su],
-                    "reward": r,
-                    "collision": bool(collision),
-                    "counted": counted,
-                }
-            )
-
-    def listing(su, t):
-        # the recommendation su sees at slot t: channel scores and the
-        # listed channels, built on first use. The matrix only changes when
-        # holds resolve at the top of a slot, so this equals a listing built
-        # at the start of the slot; without weights it is shared by all.
-        nonlocal shared_t, shared
-        if weights is not None:
-            scores = final_score_located(
-                matrix, weights[su], now=t, window=cfg.score_window
-            )
-            return scores, recommend(scores, _threshold_of(cfg, scores))
-        if shared_t != t:
-            scores = [
-                final_score(matrix, ch, now=t, window=cfg.score_window)
-                for ch in range(m_ch)
-            ]
-            shared_t = t
-            shared = scores, recommend(scores, _threshold_of(cfg, scores))
-        return shared
 
     for t in range(n_slots + 1):
         # resolve running holds before anything else this slot, in user order
@@ -414,8 +350,51 @@ def _simulate_access(
             for c, su in enumerate(holder)
             if su >= 0 and (t >= hold_t0[su] + k or pu_list[c][t] == 1)
         )
-        for su, c in ending:
-            resolve(su, c, t, collision=t < hold_t0[su] + k)
+        for su, channel in ending:
+            t0 = hold_t0[su]
+            collision = t < t0 + k
+            rating = score_access(t - t0 if collision else k, k)
+            holder[channel] = -1
+            busy[su] = False
+            if partner[su] >= 0:
+                busy[partner[su]] = False
+                partner[su] = -1
+            if keeps_matrix:
+                matrix.append(su, channel, t, rating)
+            if rewarded:
+                state, a = codes[t0], a_bits[channel][t0]
+                r = reward(collision, a, hold_b[su])
+                if method == "q":
+                    q_update(
+                        table, state, channel, r, codes[t] if t < n_slots else state
+                    )
+                elif method == "mdp":
+                    if state not in stats:
+                        stats[state] = ([0.0] * m_ch, [0] * m_ch)
+                    sums, counts = stats[state]
+                    sums[channel] += r
+                    counts[channel] += 1
+            counted = t0 >= cfg.warmup_slots
+            if counted:
+                if collision:
+                    n_collision += 1
+                else:
+                    d_success += 1
+            if events is not None:
+                events.append(
+                    {
+                        "slot": t,
+                        "t0": t0,
+                        "su": su,
+                        "state": state,
+                        "action": channel,
+                        "A": a,
+                        "B": hold_b[su],
+                        "reward": r,
+                        "collision": collision,
+                        "counted": counted,
+                    }
+                )
         if t == n_slots:
             break  # grants fit the horizon, so every hold ended cleanly here
 
@@ -443,6 +422,25 @@ def _simulate_access(
                         break
                 else:
                     continue
+            if rewarded or (method == "cf" and not warmup):
+                # su's listing, for bit B and cf only, so requests that get no
+                # channel are never scored. The matrix changes only in the
+                # resolve step, so without weights one listing serves the slot.
+                key = t if weights is None else (t, su)
+                if key != listing_key:
+                    if weights is None:
+                        scores = [
+                            final_score(matrix, ch, now=t, window=cfg.score_window)
+                            for ch in range(m_ch)
+                        ]
+                    else:
+                        scores = final_score_located(
+                            matrix, weights[su], now=t, window=cfg.score_window
+                        )
+                    th = (cfg.th_value if cfg.th_mode == "fixed"
+                          else default_threshold(scores))
+                    recommended = recommend(scores, 0.0 if th is None else th)
+                    listing_key = key
             if warmup or method == "random":
                 channel = random_access(candidates, rng_act)
             elif method == "q":
@@ -451,10 +449,10 @@ def _simulate_access(
             elif method == "mdp":
                 channel = _argmax_reward(stats.get(codes[t]), candidates)
             elif method == "cf":
-                scores, recommended = listing(su, t)
                 listed = [c for c in candidates if c in recommended]
                 if listed:
-                    channel = max(listed, key=lambda c: (scores[c], -c))
+                    # listed ascends, so max keeps the lowest of tied channels
+                    channel = max(listed, key=scores.__getitem__)
                 else:
                     channel = random_access(candidates, rng_act)
             else:
@@ -463,10 +461,7 @@ def _simulate_access(
             holder[channel] = su
             hold_t0[su] = t
             if rewarded:
-                # bit B: scores only feed it (and cf), so requests that get
-                # no channel are never scored
-                _, recommended = listing(su, t)
-                hold_b[su] = 1 if channel in recommended else 0
+                hold_b[su] = 1 if channel in recommended else 0  # bit B
             busy[su] = True
             if weights is not None:
                 partner[su] = v
@@ -507,13 +502,6 @@ def _append_audit(audit, t, pu_list, holder, partner, m_ch):
             "partner": list(partner),
         }
     )
-
-
-def _threshold_of(cfg: SimConfig, scores):
-    if cfg.th_mode == "fixed":
-        return cfg.th_value
-    th = default_threshold(scores)
-    return 0.0 if th is None else th
 
 
 def _argmax_reward(stats, candidates):
@@ -687,7 +675,7 @@ def run_scenario(cfg: SimConfig, collect_events: bool = False) -> RunSummary:
         return _run_prediction(cfg)
     if cfg.scenario == "fusion":
         return _run_fusion(cfg)
-    if cfg.scenario in ("recommendation", "decision-1", "decision-2"):
+    if cfg.scenario in ACCESS_SCENARIOS:
         return _run_access(cfg, collect_events)
     raise ValueError(f"unknown scenario {cfg.scenario!r}")
 

@@ -83,11 +83,21 @@ class TestExitCodes:
             # validate_config is the one guard: placement takes no radius
             ("scenario = decision-2\ncomm_radius = 0\n", "comm_radius"),
             ("scenario = decision-2\narena_side = 0\n", "arena_side"),
+            # burst mode checks the longest hold of the K sweep against t
+            ("scenario = decision-1\nburst_requests = true\nk_max = 10\n",
+             "k_max (10) must not exceed t (3)"),
+            # the benchmarks read one channel's trace
+            ("scenario = prediction\nn_channels = 5\nholding_range = 1,10\n"
+             "interarrival_range = 10,20\n",
+             "prediction runs on one channel, got n_channels = 5"),
+            ("scenario = fusion\nn_channels = 4\n",
+             "fusion runs on one channel, got n_channels = 4"),
         ],
         ids=["fusion-no-rates", "fusion-21-rates", "fusion-n-su-not-rates",
              "fusion-short-horizon", "prediction-short-horizon", "nan-mean-holding",
              "inf-holding-range", "nan-arena-side", "zero-comm-radius",
-             "zero-arena-side"],
+             "zero-arena-side", "burst-k-max-above-t", "prediction-n-channels",
+             "fusion-n-channels"],
     )
     def test_config_the_run_cannot_use_is_config_error(self, tmp_path, capsys, text, message):
         conf = write_conf(tmp_path, text)
@@ -124,6 +134,20 @@ class TestExitCodes:
         written = ["decision-1_seed0_summary.json", "decision-1_seed0_metrics.csv"]
         assert capsys.readouterr().out.split() == [str(out / n) for n in written]
         assert sorted(p.name for p in out.iterdir()) == sorted(written)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Bernoulli requests never read t
+            FAST_RECO + "k = 5\n",
+            "scenario = decision-1\nn_slots = 200\nreps = 1\nburst_requests = true\n"
+            "k_max = 4\nt = 4\n",
+        ],
+        ids=["bernoulli-k-above-t", "burst-k-max-equals-t"],
+    )
+    def test_k_above_t_matters_only_in_burst_mode(self, tmp_path, text):
+        conf = write_conf(tmp_path, text)
+        assert main(["--config", conf, "--out", str(tmp_path / "out")]) == 0
 
     def test_shortest_prediction_horizon_runs(self, tmp_path):
         conf = write_conf(tmp_path, "scenario = prediction\nn_slots = 30\nbp_epochs = 2\n")

@@ -191,6 +191,78 @@ class TestEngineInvariants:
             assert ev["t0"] + 7 <= 120
 
 
+def _grant_slots(audit, k):
+    """Slots where some user was granted a channel, read off the audit.
+
+    A channel's holder at the end of a slot is new when it differs from
+    the previous slot's, or when the previous hold ran its k slots (the
+    same user may take the channel again the slot it ends).
+    """
+    slots, start = set(), {}
+    previous = [-1] * len(audit[0]["holder"])
+    for entry in audit:
+        t = entry["slot"]
+        for c, su in enumerate(entry["holder"]):
+            if su >= 0 and (su != previous[c] or t >= start[c] + k):
+                start[c] = t
+                slots.add(t)
+        previous = entry["holder"]
+    return slots
+
+
+class TestScoringFollowsGrants:
+    """Listings are built for granted requests only: once per grant slot
+    when shared, once per grant when distance-weighted."""
+
+    def _run(self, cfg, method, seed, **kwargs):
+        rng = np.random.default_rng(seed)
+        pu = (rng.random((cfg.n_channels, cfg.n_slots)) < 0.3).astype(np.int64)
+        with mock.patch.object(
+            harness, "final_score", wraps=harness.final_score
+        ) as shared, mock.patch.object(
+            harness, "final_score_located", wraps=harness.final_score_located
+        ) as located:
+            res = _simulate_access(
+                cfg, pu, method, k=3, env_seed=seed + 1, act_seed=seed + 2, **kwargs
+            )
+        return res, shared.call_count, located.call_count
+
+    def test_shared_listing_once_per_grant_slot(self):
+        cfg = small_config("decision-1", n_su=8, n_channels=4, warmup_slots=60)
+        res, shared, located = self._run(cfg, "q", 7, collect_events=True)
+        grant_slots = {ev["t0"] for ev in res["events"]}
+        assert len(grant_slots) > 0
+        assert shared == cfg.n_channels * len(grant_slots)
+        assert located == 0
+
+    def test_located_listing_once_per_grant(self):
+        cfg = small_config("decision-2", n_su=12, n_channels=4, warmup_slots=60)
+        coords = place_users(cfg.n_su, 10.0, 8)
+        neighbor_lists, weights = links(coords, 5.0)
+        res, shared, located = self._run(
+            cfg, "q", 8, collect_events=True,
+            weights=weights, neighbor_lists=neighbor_lists,
+        )
+        assert len(res["events"]) > 0
+        assert located == len(res["events"])
+        assert shared == 0
+
+    def test_random_access_scores_nothing(self):
+        cfg = small_config("decision-1", n_su=8, n_channels=4)
+        res, shared, located = self._run(cfg, "random", 9)
+        assert res["n_total"] > 0
+        assert shared == located == 0
+
+    def test_cf_scores_post_warmup_grant_slots_only(self):
+        cfg = small_config("recommendation", warmup_slots=60)
+        audit = []
+        res, shared, located = self._run(cfg, "cf", 10, audit=audit)
+        slots = {t for t in _grant_slots(audit, 3) if t >= cfg.warmup_slots}
+        assert len(slots) > 0
+        assert shared == cfg.n_channels * len(slots)
+        assert located == 0
+
+
 @st.composite
 def engine_cases(draw):
     """A small random run of one method in either decision scenario."""
