@@ -21,12 +21,12 @@ from .config import (
     default_config,
     validate_config,
 )
-from .harness import emit_outputs, run_scenario
+from .harness import OUTPUT_FORMATS, emit_outputs, run_scenario
 
 # CLI spellings drop the dash that keeps the scenario number separated
 _SCENARIO_FLAGS = {name.replace("-", ""): name for name in SCENARIOS}
 
-_FORMATS = ("json", "csv", "svg")
+_FORMAT_LIST = ",".join(OUTPUT_FORMATS)
 
 
 def _build_config(args) -> SimConfig:
@@ -34,7 +34,7 @@ def _build_config(args) -> SimConfig:
     pairs = {}
     if args.config is not None:
         try:
-            pairs = _parse_pairs(Path(args.config).read_text(encoding="utf-8"))
+            pairs = _parse_pairs(Path(args.config).read_text(encoding="utf-8-sig"))
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{args.config} is not UTF-8 text: {exc}")
     scenario = pairs.get("scenario")
@@ -76,7 +76,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--format",
         default="json,csv",
-        help="comma-separated output formats from json,csv,svg (default: json,csv)",
+        help=f"comma-separated output formats from {_FORMAT_LIST} (default: json,csv)",
     )
     parser.add_argument(
         "--verbose",
@@ -88,11 +88,11 @@ def main(argv=None) -> int:
     formats = [tok.strip() for tok in args.format.split(",") if tok.strip()]
     try:
         if not formats:
-            raise ConfigError("--format must name at least one of json,csv,svg")
-        unknown = sorted(set(formats) - set(_FORMATS))
+            raise ConfigError(f"--format must name at least one of {_FORMAT_LIST}")
+        unknown = sorted(set(formats) - set(OUTPUT_FORMATS))
         if unknown:
             raise ConfigError(
-                f"unknown output formats {unknown}; expected a subset of json,csv,svg"
+                f"unknown output formats {unknown}; expected a subset of {_FORMAT_LIST}"
             )
         cfg = _build_config(args)
         summary = run_scenario(cfg, collect_events=args.verbose)

@@ -74,6 +74,7 @@ _TAG_SIM = 7
 
 _METHOD_IDS = {"q": 0, "mdp": 1, "random": 2, "cf": 3}
 _REWARDED = frozenset({"q", "mdp"})  # policies whose reward reads bits A and B
+OUTPUT_FORMATS = ("json", "csv", "svg")  # what emit_outputs can write
 
 
 @dataclass
@@ -725,14 +726,14 @@ def summary_to_csv(summary: RunSummary) -> str:
 def emit_outputs(summary: RunSummary, formats, out_dir: str) -> list:
     """Write the summary to out_dir; returns the created file paths.
 
-    formats is an iterable drawn from {json, csv, svg}. File names embed
+    formats is an iterable drawn from OUTPUT_FORMATS. File names embed
     the scenario and master seed. A series with no defined point gets no
     chart. A summary that carries events (run_scenario with collect_events)
     also gets its event log, one JSON object per line. Unwritable paths
     raise OSError.
     """
     formats = set(formats)
-    unknown = formats - {"json", "csv", "svg"}
+    unknown = formats - set(OUTPUT_FORMATS)
     if unknown:
         raise ValueError(f"unknown output formats: {sorted(unknown)}")
     os.makedirs(out_dir, exist_ok=True)

@@ -56,7 +56,7 @@ def make_training_set(states, window: int) -> TrainingSet:
     return TrainingSet(inputs=inputs, targets=targets)
 
 
-def pinv_solve(H: np.ndarray, T: np.ndarray) -> np.ndarray:
+def _pinv_solve(H: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution of H beta = T.
 
     Uses an SVD-backed solver rather than forming (H^T H)^-1 H^T, which is
@@ -91,7 +91,7 @@ def elm_train(data: TrainingSet, hidden_count: int, seed: int) -> ElmModel:
     W = rng.uniform(-1.0, 1.0, size=(hidden_count, n))
     b = rng.uniform(-1.0, 1.0, size=hidden_count)
     H = np.sin(data.inputs @ W.T + b)
-    beta = pinv_solve(H, data.targets)
+    beta = _pinv_solve(H, data.targets)
     return ElmModel(input_dim=n, input_weights=W, biases=b, output_weights=beta)
 
 

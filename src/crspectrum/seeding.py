@@ -15,7 +15,7 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def splitmix64(x: int) -> int:
+def _splitmix64(x: int) -> int:
     """One splitmix64 step; the fixed 64-bit mixing function used everywhere."""
     x = (x + _GOLDEN) & _MASK
     z = x
@@ -32,7 +32,7 @@ def derive_seed(master: int, *path: int) -> int:
     """
     s = master & _MASK
     for component in path:
-        s = splitmix64(s ^ ((component * _GOLDEN) & _MASK))
+        s = _splitmix64(s ^ ((component * _GOLDEN) & _MASK))
     return s
 
 

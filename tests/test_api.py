@@ -1,26 +1,45 @@
-"""The public surface holds only names that a run reaches.
+"""Every name has one import path, and every public function has a caller.
 
-A function in ``crspectrum.__all__`` must be used outside the module that
-defines it: by another module of the package, by a demo or by an
-acceptance criterion. Neither unit tests nor the function's own module
-keep a name public. A class may stay public without such a user, as the
-type a public function returns; any other name must be used by one of
-those files.
+The package root re-exports only the run API; a layer's names are imported
+from their own module. A module-level function without a leading
+underscore must be used outside the module that defines it: by another
+module of the package, by a demo, by an acceptance criterion or as a
+console script. Neither unit tests nor the function's own module keep a
+name public. Classes may stay public without such a user, as the types
+public functions return.
 """
 
 import ast
+import importlib
 import inspect
+import re
 from pathlib import Path
 
 import crspectrum
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "crspectrum"
+
+RUN_API = [
+    "ConfigError",
+    "RunSummary",
+    "SCENARIOS",
+    "SimConfig",
+    "default_config",
+    "emit_outputs",
+    "run_scenario",
+    "summary_to_csv",
+    "summary_to_json",
+    "validate_config",
+]
+
+
+def _modules():
+    return [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
 
 
 def _users():
-    package = sorted((ROOT / "src" / "crspectrum").glob("*.py"))
-    files = [p for p in package if p.name != "__init__.py"]
-    files += sorted((ROOT / "demos").glob("*.py"))
+    files = _modules() + sorted((ROOT / "demos").glob("*.py"))
     files.append(ROOT / "tests" / "test_acceptance.py")
     return files
 
@@ -36,18 +55,35 @@ def _referenced_names(path):
     return names
 
 
+def _console_scripts():
+    """(module, function) of every console script pyproject.toml declares."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    return set(re.findall(r'"crspectrum\.(\w+):(\w+)"', text))
+
+
 def test_every_public_name_is_used():
-    references = {path.resolve(): _referenced_names(path) for path in _users()}
+    references = {path: _referenced_names(path) for path in _users()}
+    scripts = _console_scripts()
     unused = []
-    for name in crspectrum.__all__:
-        obj = getattr(crspectrum, name)
-        if inspect.isclass(obj):
-            continue
-        home = Path(inspect.getfile(obj)).resolve() if inspect.isfunction(obj) else None
-        if not any(name in names for path, names in references.items() if path != home):
-            unused.append(name)
+    for path in _modules():
+        module = importlib.import_module(f"crspectrum.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(obj):
+                continue
+            if obj.__module__ != module.__name__ or (path.stem, name) in scripts:
+                continue
+            if not any(name in names for user, names in references.items()
+                       if user != path):
+                unused.append(f"{path.stem}.{name}")
     assert unused == []
 
 
-def test_all_is_sorted_without_repeats():
-    assert crspectrum.__all__ == sorted(set(crspectrum.__all__))
+def test_root_is_the_run_api():
+    assert crspectrum.__all__ == RUN_API
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    sources = sorted(
+        ast.unparse(node).split(" import ")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+    assert sources == ["from .config", "from .harness"]

@@ -43,6 +43,11 @@ class TestExitCodes:
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert str(path) in capsys.readouterr().err
 
+    def test_config_file_with_byte_order_mark_runs(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_bytes(b"\xef\xbb\xbf" + FAST_RECO.encode("utf-8"))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         missing = str(tmp_path / "absent.conf")
         assert main(["--scenario", "fusion", "--config", missing]) == 3

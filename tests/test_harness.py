@@ -13,6 +13,14 @@ from hypothesis import strategies as st
 from crspectrum import harness
 from crspectrum.channel import links, place_users
 from crspectrum.config import default_config
+from crspectrum.decision import (
+    DecisionQTable,
+    arbitrate,
+    q_update,
+    random_access,
+    reward,
+    select_action,
+)
 from crspectrum.harness import (
     _advisory_bits,
     _request_lists,
@@ -23,6 +31,7 @@ from crspectrum.harness import (
     summary_to_json,
 )
 from crspectrum.predictors import elm_predict, elm_train, make_training_set, threshold
+from crspectrum.recommender import default_threshold, recommend, score_access
 from crspectrum.seeding import make_rng
 
 
@@ -266,9 +275,9 @@ class TestScoringFollowsGrants:
 @st.composite
 def engine_cases(draw):
     """A small random run of one method in either decision scenario."""
-    n_su = draw(st.integers(2, 8))
+    n_su = draw(st.integers(1, 8))
     m_ch = draw(st.integers(1, 5))
-    n_slots = draw(st.integers(1, 60))
+    n_slots = draw(st.integers(1, 80))
     burst = draw(st.booleans())
     cfg = replace(
         default_config("decision-1"),
@@ -287,6 +296,10 @@ def engine_cases(draw):
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
     pu = (rng.random((m_ch, n_slots)) < draw(st.sampled_from([0.0, 0.3, 0.7])))
+    # bit A from a trace of its own, or persistence (None)
+    a_bits = None
+    if draw(st.booleans()):
+        a_bits = (rng.random((m_ch, n_slots)) < 0.5).astype(int).tolist()
     located = draw(st.booleans())
     weights = neighbor_lists = None
     if located:
@@ -299,6 +312,7 @@ def engine_cases(draw):
         k=draw(st.integers(1, 5)),
         env_seed=seed + 1,
         act_seed=seed + 2,
+        a_bits=a_bits,
         weights=weights,
         neighbor_lists=neighbor_lists,
     )
@@ -362,6 +376,112 @@ class TestEngineProperties:
         assert res["n_total"] == len(counted)
         assert res["n_collision"] == sum(ev["collision"] for ev in counted)
         assert res["n_collision"] + res["d_success"] == res["n_total"]
+
+
+def reference_access(cfg, pu, method, k, env_seed, act_seed, a_bits=None,
+                     weights=None, neighbor_lists=None):
+    """The slot engine written naively from README's rules.
+
+    Every slot rescans every hold for its end and every record for the
+    listing, keeps all records and builds a listing for every grant. Only
+    the functions that own a random stream or a formula are shared with
+    the engine; it returns the engine's counts and event log.
+    """
+    m_ch, n_slots = pu.shape
+    pu = pu.tolist()
+    a_bits = pu if a_bits is None else a_bits
+    rng_req, rng_arb = make_rng(env_seed, 0), make_rng(env_seed, 1)
+    rng_act = make_rng(act_seed, 2)
+    if cfg.burst_requests:
+        requests = [list(range(cfg.n_su)) if t % cfg.t == 0 else []
+                    for t in range(n_slots)]
+    else:
+        requests = _request_lists(rng_req, n_slots, cfg.n_su, cfg.request_prob)
+    table = DecisionQTable(np.zeros((1 << m_ch, m_ch)), cfg.alpha, cfg.gamma)
+    sums, counts = {}, {}  # mdp: (state, channel) -> reward sum, count
+    holds = []  # dicts of su, channel, t0, b, partner
+    records = []  # (t, su, channel, rating) in append order
+    events = []
+
+    def code(t):
+        return sum(pu[c][t] << c for c in range(m_ch))
+
+    for t in range(n_slots + 1):
+        ending = [h for h in holds if t == h["t0"] + k or pu[h["channel"]][t] == 1]
+        for h in sorted(ending, key=lambda h: h["su"]):
+            holds.remove(h)
+            su, c, t0 = h["su"], h["channel"], h["t0"]
+            collision = t < t0 + k
+            records.append((t, su, c, score_access(t - t0 if collision else k, k)))
+            state = code(t0)
+            r = reward(collision, a_bits[c][t0], h["b"])
+            if method == "q":
+                q_update(table, state, c, r, code(t) if t < n_slots else state)
+            sums[state, c] = sums.get((state, c), 0.0) + r
+            counts[state, c] = counts.get((state, c), 0) + 1
+            events.append({"slot": t, "t0": t0, "su": su, "state": state,
+                           "action": c, "A": a_bits[c][t0], "B": h["b"],
+                           "reward": r, "collision": collision,
+                           "counted": t0 >= cfg.warmup_slots})
+        if t == n_slots:
+            break
+        busy = {h["su"] for h in holds} | {h["partner"] for h in holds}
+        order = arbitrate([u for u in requests[t] if u not in busy], rng_arb)
+        held = {h["channel"] for h in holds}
+        candidates = [c for c in range(m_ch) if pu[c][t] == 0 and c not in held]
+        if t + k > n_slots:
+            candidates = []
+        for su in order:
+            if not candidates:
+                break
+            if su in busy:
+                continue
+            v = None
+            if weights is not None:
+                free = [u for u in neighbor_lists[su] if u not in busy]
+                if not free:
+                    continue
+                v = free[0]
+            total, n = [0.0] * m_ch, [0] * m_ch
+            for rt, rater, c, rating in records:
+                if t - cfg.score_window <= rt < t:
+                    total[c] += rating * (1 if weights is None else weights[su][rater])
+                    n[c] += 1
+            scores = [total[c] / n[c] if n[c] else None for c in range(m_ch)]
+            th = cfg.th_value if cfg.th_mode == "fixed" else default_threshold(scores)
+            listed = recommend(scores, 0.0 if th is None else th)
+            if t < cfg.warmup_slots or method == "random":
+                channel = random_access(candidates, rng_act)
+            elif method == "q":
+                eps = cfg.epsilon * max(0.0, 1.0 - t / max(1, n_slots // 2))
+                channel = select_action(table, code(t), candidates, eps, rng_act)
+            elif method == "mdp":
+                channel = max(candidates, key=lambda c: sums.get((code(t), c), 0.0)
+                              / counts.get((code(t), c), 1))
+            elif any(c in listed for c in candidates):  # cf
+                channel = max((c for c in candidates if c in listed),
+                              key=scores.__getitem__)
+            else:
+                channel = random_access(candidates, rng_act)
+            candidates.remove(channel)
+            holds.append({"su": su, "channel": channel, "t0": t,
+                          "b": int(channel in listed), "partner": v})
+            busy |= {su, v}
+    counted = [ev for ev in events if ev["counted"]]
+    n_collision = sum(ev["collision"] for ev in counted)
+    return {"n_total": len(counted), "n_collision": n_collision,
+            "d_success": len(counted) - n_collision, "events": events}
+
+
+class TestReferenceEngine:
+    """The engine's counts and event log equal the naive simulator's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(engine_cases())
+    def test_engine_matches_reference(self, case):
+        want = reference_access(**case)
+        assert _simulate_access(**case, collect_events=True) == want
+        assert _simulate_access(**case) == {**want, "events": None}
 
 
 class TestRequestLists:

@@ -11,6 +11,7 @@ from crspectrum.channel import ChannelParams, generate_trace
 from crspectrum.predictors import (
     BpModel,
     TrainingSet,
+    _pinv_solve,
     _sigmoid,
     bp_gradients,
     bp_loss,
@@ -24,7 +25,6 @@ from crspectrum.predictors import (
     hmm_predict,
     HmmModel,
     make_training_set,
-    pinv_solve,
     threshold,
     transition_error_fraction,
 )
@@ -50,16 +50,16 @@ class TestMakeTrainingSet:
 
 class TestPinvSolve:
     def test_identity(self):
-        beta = pinv_solve(np.eye(2), np.array([1.0, 2.0]))
+        beta = _pinv_solve(np.eye(2), np.array([1.0, 2.0]))
         np.testing.assert_allclose(beta, [1.0, 2.0], atol=1e-12)
 
     def test_overdetermined_column(self):
         # normal equations by hand: (H'H)^-1 H'T = 4/2 = 2
-        beta = pinv_solve(np.array([[1.0], [1.0]]), np.array([1.0, 3.0]))
+        beta = _pinv_solve(np.array([[1.0], [1.0]]), np.array([1.0, 3.0]))
         np.testing.assert_allclose(beta, [2.0], atol=1e-12)
 
     def test_diagonal(self):
-        beta = pinv_solve(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
+        beta = _pinv_solve(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
         np.testing.assert_allclose(beta, [1.0, 2.0], atol=1e-12)
 
     def test_normal_equations_residual(self):
@@ -72,7 +72,7 @@ class TestPinvSolve:
             if trial % 3 == 0 and L >= 2:
                 H[:, -1] = H[:, 0]  # force exact rank deficiency
             T = rng.normal(size=S)
-            beta = pinv_solve(H, T)
+            beta = _pinv_solve(H, T)
             lhs = H.T @ H @ beta
             rhs = H.T @ T
             scale = max(np.linalg.norm(rhs), 1.0)
@@ -80,7 +80,7 @@ class TestPinvSolve:
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            pinv_solve(np.array([[np.nan, 1.0]]), np.array([1.0]))
+            _pinv_solve(np.array([[np.nan, 1.0]]), np.array([1.0]))
 
 
 class TestElm:
