@@ -179,11 +179,9 @@ def arbitrate(requests: Iterable[int], rng: np.random.Generator) -> list:
     Earlier positions pick channels first; the caller leaves out users who
     already hold a channel.
     """
-    pending = _sorted_distinct(requests)
-    if len(pending) < 2:
-        return list(pending)  # permutation(1) would draw nothing
-    order = rng.permutation(len(pending))
-    return [pending[i] for i in order]
+    order = list(_sorted_distinct(requests))  # a copy, never the caller's list
+    rng.shuffle(order)  # permutation(n)'s draws (numpy 2.4); none under 2 users
+    return order
 
 
 def random_access(

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,7 +189,18 @@ class TestArbitrate:
         want = _engine_arbitration(requests, busy, rng_ref)
         # the engine leaves busy users out before it arbitrates
         assert arbitrate([u for u in requests if u not in busy], rng) == want
-        assert rng.random() == rng_ref.random()
+        # the whole state: a spare 32-bit half buffered by one side only
+        # would not show in a double, which never reads that buffer
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "requests", [[1, 4, 6, 9], [9, 1, 6, 4], {1, 4, 6, 9}, (1, 4, 6, 9)]
+    )
+    def test_leaves_its_argument_unchanged(self, requests):
+        before = copy.copy(requests)
+        for seed in range(10):
+            assert sorted(arbitrate(requests, make_rng(seed))) == [1, 4, 6, 9]
+            assert requests == before
 
 
 def _engine_arbitration(requests, busy, rng):
@@ -215,14 +228,19 @@ class TestRandomAccess:
 
 
 class TestDrawsThatDrawNothing:
-    """numpy makes no draw for a choice with one outcome; arbitrate and
-    random_access skip that call, and must leave the stream as it was."""
+    """numpy makes no draw for a choice with one outcome: arbitrate relies
+    on that for shuffles of under two users, random_access skips the call,
+    and both must leave the stream as it was."""
 
     def test_numpy_one_outcome_leaves_the_state(self):
         rng = make_rng(7)
         before = rng.bit_generator.state
         assert rng.permutation(1).tolist() == [0]
         assert int(rng.integers(0, 1)) == 0
+        empty, one = [], [3]
+        rng.shuffle(empty)
+        rng.shuffle(one)
+        assert (empty, one) == ([], [3])
         assert rng.bit_generator.state == before
         rng.permutation(2)
         assert rng.bit_generator.state != before
