@@ -68,8 +68,9 @@ def show_decision():
     )
     print(
         "  with thirty users contending for roughly seven idle channels, the"
-        "\n  grant arbitration, not the choice rule, decides most accesses; the"
-        "\n  policies separate only when demand is far below capacity."
+        "\n  grant arbitration, not the choice rule, decides most accesses; this"
+        "\n  run is at default demand only, so it does not show which way the"
+        "\n  policies separate at lower demand."
     )
     written = emit_outputs(summary, ["svg"], OUT_DIR)
     for path in written:

@@ -8,12 +8,13 @@ reward; ``value_iteration`` serves acceptance criterion 7 only.) Rewards
 combine the collision outcome with bits A, the chosen channel's predicted
 next state, and B, whether it was on the recommendation list. Random
 access and the central node's random-priority arbitration live here too.
+Their channel and user lists are the slot engine's: distinct indices in
+increasing order, and a chooser's channel list is never empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 import numpy as np
 
@@ -49,14 +50,6 @@ class DecisionQTable:
     alpha: float = 0.5
     gamma: float = 0.5
 
-    @property
-    def n_states(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.values.shape[1]
-
 
 def new_decision_table(
     m_channels: int, alpha: float = 0.5, gamma: float = 0.5
@@ -74,60 +67,42 @@ def new_decision_table(
     )
 
 
-def _sorted_distinct(candidates: Iterable[int]) -> list:
-    """The candidates as a list of distinct values in increasing order.
-
-    A list that already is one, as the slot engine builds its candidate
-    and requester lists, is returned as it is rather than copied and sorted again.
-    """
-    if type(candidates) is list:
-        for i in range(1, len(candidates)):
-            if candidates[i - 1] >= candidates[i]:
-                break
-        else:
-            return candidates
-    return sorted(set(candidates))
-
-
 def select_action(
     table: DecisionQTable,
     state: int,
-    candidates: Iterable[int],
+    cands: list,
     epsilon: float,
     rng: np.random.Generator,
-) -> Optional[int]:
-    """Epsilon-greedy channel choice among the candidates; None when empty.
+) -> int:
+    """Epsilon-greedy channel choice among cands, a nonempty increasing list.
 
-    Greedy ties resolve to the lowest channel index.
+    Exploration draws as ``random_access`` does; greedy ties resolve to the
+    lowest channel index.
     """
-    if not 0 <= state < table.n_states:
+    n_states, n_actions = table.values.shape
+    if not 0 <= state < n_states:
         raise ValueError(f"state {state} out of range")
-    cands = _sorted_distinct(candidates)
-    if not cands:
-        return None
-    if cands[0] < 0 or cands[-1] >= table.n_actions:
+    if min(cands) < 0 or max(cands) >= n_actions:
         raise ValueError("candidate channel out of range")
     if epsilon > 0 and rng.random() < epsilon:
-        return int(cands[int(rng.integers(0, len(cands)))])
+        return random_access(cands, rng)
     row = table.values[state].tolist()
     best, best_q = cands[0], row[cands[0]]
     for a in cands[1:]:
         if row[a] > best_q:
             best, best_q = a, row[a]
-    return int(best)
+    return best
 
 
-def q_update(
-    table: DecisionQTable, s: int, a: int, r: float, s_next: int
-) -> DecisionQTable:
+def q_update(table: DecisionQTable, s: int, a: int, r: float, s_next: int) -> None:
     """Standard one-step update toward r + gamma * best next value."""
-    if not 0 <= s < table.n_states or not 0 <= s_next < table.n_states:
+    n_states, n_actions = table.values.shape
+    if not 0 <= s < n_states or not 0 <= s_next < n_states:
         raise ValueError("state out of range")
-    if not 0 <= a < table.n_actions:
+    if not 0 <= a < n_actions:
         raise ValueError(f"action {a} out of range")
     target = r + table.gamma * max(table.values[s_next].tolist())
     table.values[s, a] += table.alpha * (target - table.values[s, a])
-    return table
 
 
 @dataclass
@@ -173,23 +148,20 @@ def value_iteration(model: MdpModel, tol: float = 1e-6):
     return V, np.argmax(Q, axis=1)
 
 
-def arbitrate(requests: Iterable[int], rng: np.random.Generator) -> list:
+def arbitrate(requests: list, rng: np.random.Generator) -> list:
     """Random priority order over this slot's requesting users.
 
-    Earlier positions pick channels first; the caller leaves out users who
-    already hold a channel.
+    requests is an increasing list of users, possibly empty; the caller
+    leaves out users who already hold a channel. Earlier positions pick
+    channels first. A shuffled copy is returned and requests is left as it is.
     """
-    order = list(_sorted_distinct(requests))  # a copy, never the caller's list
+    order = list(requests)
     rng.shuffle(order)  # permutation(n)'s draws (numpy 2.4); none under 2 users
     return order
 
 
-def random_access(
-    candidates: Iterable[int], rng: np.random.Generator
-) -> Optional[int]:
-    """Uniform channel choice among the candidates; None when empty."""
-    cands = _sorted_distinct(candidates)
-    if len(cands) < 2:
-        return int(cands[0]) if cands else None  # integers(0, 1) draws nothing
-    return int(cands[int(rng.integers(0, len(cands)))])
-
+def random_access(cands: list, rng: np.random.Generator) -> int:
+    """Uniform channel choice among cands, a nonempty increasing list."""
+    if len(cands) == 1:
+        return cands[0]  # integers(0, 1) draws nothing
+    return cands[int(rng.integers(0, len(cands)))]

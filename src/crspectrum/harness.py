@@ -292,13 +292,14 @@ def _simulate_access(
     metric counts and, with collect_events, the per-decision events.
     Accesses granted during the warm-up phase train the agents and seed
     the score matrix but are excluded from the metric counts. a_bits,
-    an M x T list, gives advisory bit A per channel and slot; without it A
-    is persistence, the slot's own state. In decision-2, ``channel.links``
-    gives weights[u][v], the discount of v's ratings for user u, and
-    neighbor_lists[u], u's partners in increasing index order; a request
-    takes the first one not busy. audit, when given, gets one
-    entry per slot: the PU-busy, held and free channel counts, each
-    channel's holder and each user's receiving partner (-1 for none).
+    an M x T list, gives advisory bit A per channel and slot; it may be
+    None only when nothing reads it: cf or random without events. In
+    decision-2, ``channel.links`` gives weights[u][v], the discount of v's
+    ratings for user u, and neighbor_lists[u], u's partners in increasing
+    index order; a request takes the first one not busy. audit, when
+    given, gets one entry per slot: the PU-busy, held and free channel
+    counts, each channel's holder and each user's receiving partner (-1
+    for none).
 
     Each policy reads part of the engine's state, and only that part is
     kept: q learns its Q table and mdp its per-(visited state, channel)
@@ -334,8 +335,6 @@ def _simulate_access(
     n_collision = d_success = 0
     events = [] if collect_events else None
     half_horizon = max(1, n_slots // 2)
-    if a_bits is None:
-        a_bits = pu_list
     listing_key = None  # t, or (t, su) with weights, of the last listing
     if cfg.burst_requests:
         # every user requests every t slots, nobody in between

@@ -6,7 +6,9 @@ underscore must be used outside the module that defines it: by another
 module of the package, by a demo, by an acceptance criterion or as a
 console script. Neither unit tests nor the function's own module keep a
 name public. Classes may stay public without such a user, as the types
-public functions return.
+public functions return. A module-level function with a leading
+underscore must be called or named somewhere under src/ outside its own
+body, so no private helper lives on for tests alone.
 """
 
 import ast
@@ -44,15 +46,23 @@ def _users():
     return files
 
 
-def _referenced_names(path):
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _names(roots):
     names = set()
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+    for root in roots:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
     return names
+
+
+def _referenced_names(path):
+    return _names([_parse(path)])
 
 
 def _console_scripts():
@@ -75,6 +85,19 @@ def test_every_public_name_is_used():
             if not any(name in names for user, names in references.items()
                        if user != path):
                 unused.append(f"{path.stem}.{name}")
+    assert unused == []
+
+
+def test_every_private_function_is_used_in_src():
+    statements = [
+        node for path in sorted(PACKAGE.glob("*.py")) for node in _parse(path).body
+    ]
+    unused = [
+        fn.name
+        for fn in statements
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+        and fn.name not in _names(node for node in statements if node is not fn)
+    ]
     assert unused == []
 
 

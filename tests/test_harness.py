@@ -163,7 +163,8 @@ class TestEngineInvariants:
         rng = np.random.default_rng(4)
         pu = (rng.random((4, 400)) < 0.3).astype(np.int64)
         res = _simulate_access(
-            cfg, pu, "q", k=3, env_seed=5, act_seed=6, collect_events=True
+            cfg, pu, "q", k=3, env_seed=5, act_seed=6, a_bits=pu.tolist(),
+            collect_events=True,
         )
         counted = [ev for ev in res["events"] if ev["counted"]]
         assert len(counted) == res["n_total"]
@@ -179,9 +180,12 @@ class TestEngineInvariants:
         cfg = small_config("decision-1", n_channels=20, warmup_slots=60)
         rng = np.random.default_rng(6)
         pu = (rng.random((20, 300)) < 0.3).astype(np.int64)
+        a_bits = pu.tolist()
         tracemalloc.start()
         try:
-            res = _simulate_access(cfg, pu, "mdp", k=3, env_seed=5, act_seed=6)
+            res = _simulate_access(
+                cfg, pu, "mdp", k=3, env_seed=5, act_seed=6, a_bits=a_bits
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -194,7 +198,8 @@ class TestEngineInvariants:
         rng = np.random.default_rng(5)
         pu = (rng.random((4, 120)) < 0.2).astype(np.int64)
         res = _simulate_access(
-            cfg, pu, "random", k=7, env_seed=1, act_seed=2, collect_events=True
+            cfg, pu, "random", k=7, env_seed=1, act_seed=2, a_bits=pu.tolist(),
+            collect_events=True,
         )
         for ev in res["events"]:
             assert ev["t0"] + 7 <= 120
@@ -232,7 +237,8 @@ class TestScoringFollowsGrants:
             harness, "final_score_located", wraps=harness.final_score_located
         ) as located:
             res = _simulate_access(
-                cfg, pu, method, k=3, env_seed=seed + 1, act_seed=seed + 2, **kwargs
+                cfg, pu, method, k=3, env_seed=seed + 1, act_seed=seed + 2,
+                a_bits=pu.tolist(), **kwargs
             )
         return res, shared.call_count, located.call_count
 
@@ -296,8 +302,9 @@ def engine_cases(draw):
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
     pu = (rng.random((m_ch, n_slots)) < draw(st.sampled_from([0.0, 0.3, 0.7])))
-    # bit A from a trace of its own, or persistence (None)
-    a_bits = None
+    pu = pu.astype(np.int64)
+    # bit A from a trace of its own, or persistence (the slot's own state)
+    a_bits = pu.tolist()
     if draw(st.booleans()):
         a_bits = (rng.random((m_ch, n_slots)) < 0.5).astype(int).tolist()
     located = draw(st.booleans())
@@ -307,7 +314,7 @@ def engine_cases(draw):
         neighbor_lists, weights = links(coords, 5.0)
     return dict(
         cfg=cfg,
-        pu=pu.astype(np.int64),
+        pu=pu,
         method=draw(st.sampled_from(["q", "mdp", "random", "cf"])),
         k=draw(st.integers(1, 5)),
         env_seed=seed + 1,
@@ -378,7 +385,7 @@ class TestEngineProperties:
         assert res["n_collision"] + res["d_success"] == res["n_total"]
 
 
-def reference_access(cfg, pu, method, k, env_seed, act_seed, a_bits=None,
+def reference_access(cfg, pu, method, k, env_seed, act_seed, a_bits,
                      weights=None, neighbor_lists=None):
     """The slot engine written naively from README's rules.
 
@@ -389,7 +396,6 @@ def reference_access(cfg, pu, method, k, env_seed, act_seed, a_bits=None,
     """
     m_ch, n_slots = pu.shape
     pu = pu.tolist()
-    a_bits = pu if a_bits is None else a_bits
     rng_req, rng_arb = make_rng(env_seed, 0), make_rng(env_seed, 1)
     rng_act = make_rng(act_seed, 2)
     if cfg.burst_requests:
@@ -482,6 +488,39 @@ class TestReferenceEngine:
         want = reference_access(**case)
         assert _simulate_access(**case, collect_events=True) == want
         assert _simulate_access(**case) == {**want, "events": None}
+
+
+def _recording(fn, position, calls):
+    # a copy of the list argument at each call, then the real call
+    def spy(*args):
+        calls.append(list(args[position]))
+        return fn(*args)
+
+    return spy
+
+
+class TestDecisionContract:
+    """The engine hands the decision layer what its functions take: an
+    increasing list of users to arbitrate, possibly empty, and a nonempty
+    increasing list of channels to choose from."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(engine_cases())
+    def test_engine_passes_increasing_lists_in_range(self, case):
+        m_ch, n_su = case["pu"].shape[0], case["cfg"].n_su
+        users, channels = [], []
+        with mock.patch.object(
+            harness, "arbitrate", _recording(harness.arbitrate, 0, users)
+        ), mock.patch.object(
+            harness, "random_access", _recording(harness.random_access, 0, channels)
+        ), mock.patch.object(
+            harness, "select_action", _recording(harness.select_action, 2, channels)
+        ):
+            _simulate_access(**case, collect_events=True)
+        for lst, size in [(u, n_su) for u in users] + [(c, m_ch) for c in channels]:
+            assert all(a < b for a, b in zip(lst, lst[1:]))
+            assert all(0 <= x < size for x in lst)
+        assert all(channels)
 
 
 class TestRequestLists:
