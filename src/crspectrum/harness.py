@@ -57,7 +57,6 @@ from .recommender import (
     default_threshold,
     final_score,
     final_score_located,
-    recommend,
     score_access,
 )
 from .seeding import derive_seed, make_rng
@@ -301,6 +300,10 @@ def _simulate_access(
     counts, each channel's holder and each user's receiving partner (-1
     for none).
 
+    Each hold's end slot is booked when it is granted: the first of the
+    next K slots in which the PU is back (a collision), else K slots on.
+    Holds end at the top of that slot, in user order, before any request.
+
     Each policy reads part of the engine's state, and only that part is
     kept: q learns its Q table and mdp its per-(visited state, channel)
     reward sums from a reward built on bits A and B, where B reads the score
@@ -326,9 +329,7 @@ def _simulate_access(
 
     matrix = ScoreMatrix(n_su=n_su, m_ch=m_ch)
     holder = [-1] * m_ch   # channel -> su holding it
-    # per su: start slot and bit B of the hold it runs
-    hold_t0 = [0] * n_su
-    hold_b = [0] * n_su
+    ends_at = {}  # end slot -> (su, channel, start slot, bit B) of holds ending then
     partner = [-1] * n_su  # transmitting su -> receiving su (decision-2)
     busy = [False] * n_su  # holds a channel or receives for a holder
 
@@ -344,14 +345,9 @@ def _simulate_access(
         request_lists = _request_lists(rng_req, n_slots, n_su, cfg.request_prob)
 
     for t in range(n_slots + 1):
-        # resolve running holds before anything else this slot, in user order
-        ending = sorted(
-            (su, c)
-            for c, su in enumerate(holder)
-            if su >= 0 and (t >= hold_t0[su] + k or pu_list[c][t] == 1)
-        )
-        for su, channel in ending:
-            t0 = hold_t0[su]
+        # resolve the holds booked to end now before anything else this
+        # slot, in user order (a user holds one channel at a time)
+        for su, channel, t0, b in sorted(ends_at.pop(t, ())):
             collision = t < t0 + k
             rating = score_access(t - t0 if collision else k, k)
             holder[channel] = -1
@@ -363,7 +359,7 @@ def _simulate_access(
                 matrix.append(su, channel, t, rating)
             if rewarded:
                 state, a = codes[t0], a_bits[channel][t0]
-                r = reward(collision, a, hold_b[su])
+                r = reward(collision, a, b)
                 if method == "q":
                     q_update(
                         table, state, channel, r, codes[t] if t < n_slots else state
@@ -389,7 +385,7 @@ def _simulate_access(
                         "state": state,
                         "action": channel,
                         "A": a,
-                        "B": hold_b[su],
+                        "B": b,
                         "reward": r,
                         "collision": collision,
                         "counted": counted,
@@ -439,7 +435,6 @@ def _simulate_access(
                         )
                     th = (cfg.th_value if cfg.th_mode == "fixed"
                           else default_threshold(scores))
-                    recommended = recommend(scores, 0.0 if th is None else th)
                     listing_key = key
             if warmup or method == "random":
                 channel = random_access(candidates, rng_act)
@@ -449,7 +444,9 @@ def _simulate_access(
             elif method == "mdp":
                 channel = _argmax_reward(stats.get(codes[t]), candidates)
             elif method == "cf":
-                listed = [c for c in candidates if c in recommended]
+                listed = [
+                    c for c in candidates if scores[c] is not None and scores[c] > th
+                ]
                 if listed:
                     # listed ascends, so max keeps the lowest of tied channels
                     channel = max(listed, key=scores.__getitem__)
@@ -457,11 +454,18 @@ def _simulate_access(
                     channel = random_access(candidates, rng_act)
             else:
                 raise ValueError(f"unknown access method {method!r}")
-            candidates = [c for c in candidates if c != channel]
+            candidates.remove(channel)
             holder[channel] = su
-            hold_t0[su] = t
-            if rewarded:
-                hold_b[su] = 1 if channel in recommended else 0  # bit B
+            b = 0
+            if rewarded:  # bit B: the channel is on su's recommendation list
+                score = scores[channel]
+                b = int(score is not None and score > th)
+            # the hold ends at the PU's first return within K slots
+            try:
+                end = pu_list[channel].index(1, t + 1, t + k + 1)
+            except ValueError:
+                end = t + k
+            ends_at.setdefault(end, []).append((su, channel, t, b))
             busy[su] = True
             if weights is not None:
                 partner[su] = v

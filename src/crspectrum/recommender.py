@@ -112,8 +112,3 @@ def default_threshold(scores: Sequence[Optional[float]]) -> Optional[float]:
     if not defined:
         return None
     return max(defined) / 2.0
-
-
-def recommend(scores: Sequence[Optional[float]], th: float) -> set:
-    """Channels whose score is defined and strictly above th."""
-    return {ch for ch, s in enumerate(scores) if s is not None and s > th}

@@ -47,6 +47,14 @@ REDUCED = {
         "decision-2",
         dict(n_slots=300, k_max=5, reps=1, warmup_slots=60, score_window=200),
     ),
+    # the defaults' longest holds, K = 8..10: many holds end on a PU
+    # return before K
+    "decision-1-long-holds": (
+        "decision-1", dict(n_slots=300, k_min=8, k_max=10, reps=1, warmup_slots=60)
+    ),
+    "decision-2-long-holds": (
+        "decision-2", dict(n_slots=300, k_min=8, k_max=10, reps=1, warmup_slots=60)
+    ),
 }
 
 

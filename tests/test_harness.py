@@ -31,7 +31,7 @@ from crspectrum.harness import (
     summary_to_json,
 )
 from crspectrum.predictors import elm_predict, elm_train, make_training_set, threshold
-from crspectrum.recommender import default_threshold, recommend, score_access
+from crspectrum.recommender import default_threshold, score_access
 from crspectrum.seeding import make_rng
 
 
@@ -203,6 +203,53 @@ class TestEngineInvariants:
         )
         for ev in res["events"]:
             assert ev["t0"] + 7 <= 120
+
+
+class TestHoldEnds:
+    """One user requests every slot on one channel; the PU is busy until
+    slot 2, so the one hold starts at t0 = 2 and ends where the PU comes
+    back, or K slots on."""
+
+    K, T0 = 4, 2
+
+    @pytest.mark.parametrize(
+        "pu_back, end, collision, rating",
+        [
+            (T0 + 1, T0 + 1, True, 1),
+            (T0 + K - 1, T0 + K - 1, True, K - 1),
+            (T0 + K, T0 + K, False, K),  # back just as the hold completes
+            (None, T0 + K, False, K),
+        ],
+        ids=["back-next-slot", "back-before-K", "back-at-K", "never-back"],
+    )
+    def test_end_slot_collision_and_rating(self, pu_back, end, collision, rating):
+        k, t0 = self.K, self.T0
+        cfg = small_config(
+            "decision-1", n_su=1, n_channels=1, n_slots=t0 + k + 1,
+            request_prob=1.0, warmup_slots=0,
+        )
+        pu = np.zeros((1, cfg.n_slots), dtype=np.int64)
+        pu[0, :t0] = 1
+        if pu_back is not None:
+            pu[0, pu_back:] = 1
+        appended = []
+        real_append = harness.ScoreMatrix.append
+
+        def append(matrix, su, channel, t, r):
+            appended.append((su, channel, t, r))
+            real_append(matrix, su, channel, t, r)
+
+        with mock.patch.object(harness.ScoreMatrix, "append", append):
+            res = _simulate_access(
+                cfg, pu, "random", k=k, env_seed=1, act_seed=2,
+                a_bits=pu.tolist(), collect_events=True,
+            )
+        [ev] = res["events"]
+        assert (ev["t0"], ev["slot"], ev["collision"]) == (t0, end, collision)
+        assert appended == [(0, 0, end, rating)]
+        assert (res["n_collision"], res["d_success"]) == (
+            int(collision), int(not collision)
+        )
 
 
 def _grant_slots(audit, k):
@@ -455,7 +502,8 @@ def reference_access(cfg, pu, method, k, env_seed, act_seed, a_bits,
                     n[c] += 1
             scores = [total[c] / n[c] if n[c] else None for c in range(m_ch)]
             th = cfg.th_value if cfg.th_mode == "fixed" else default_threshold(scores)
-            listed = recommend(scores, 0.0 if th is None else th)
+            listed = {c for c, s in enumerate(scores)
+                      if s is not None and s > (0.0 if th is None else th)}
             if t < cfg.warmup_slots or method == "random":
                 channel = random_access(candidates, rng_act)
             elif method == "q":

@@ -11,7 +11,6 @@ from crspectrum.recommender import (
     default_threshold,
     final_score,
     final_score_located,
-    recommend,
     score_access,
 )
 
@@ -225,14 +224,6 @@ class TestWindowQueriesMatchBruteForce:
 
 
 class TestRecommend:
-    def test_all_undefined(self):
-        assert recommend([None, None], th=0.0) == set()
-
-    def test_strictly_above_threshold(self):
-        assert recommend([2.0, 3.0], th=2.0) == {1}
-        assert recommend([4.0, 1.0, 3.0], th=2.0) == {0, 2}
-        assert recommend([4.0, None, 3.0, 0.0], th=-1.0) == {0, 2, 3}
-
     def test_default_threshold(self):
         assert default_threshold([4.0, None, 6.0]) == 3.0
         assert default_threshold([None, None]) is None
