@@ -42,14 +42,12 @@ from .fusion import (
 from .predictors import (
     bp_predict_many,
     bp_train,
-    elm_predict,
     elm_predict_many,
     elm_train,
     eval_prediction,
     hmm_fit,
     hmm_predict,
     make_training_set,
-    threshold,
     transition_error_fraction,
 )
 from .recommender import (
@@ -296,9 +294,8 @@ def _simulate_access(
     decision-2, ``channel.links`` gives weights[u][v], the discount of v's
     ratings for user u, and neighbor_lists[u], u's partners in increasing
     index order; a request takes the first one not busy. audit, when
-    given, gets one entry per slot: the PU-busy, held and free channel
-    counts, each channel's holder and each user's receiving partner (-1
-    for none).
+    given, gets one entry per slot, after its grants: the slot, each
+    channel's holder and each user's receiving partner (-1 for none).
 
     Each hold's end slot is booked when it is granted: the first of the
     next K slots in which the PU is back (a collision), else K slots on.
@@ -471,7 +468,7 @@ def _simulate_access(
                 partner[su] = v
                 busy[v] = True
         if audit is not None:
-            _append_audit(audit, t, pu_list, holder, partner, m_ch)
+            audit.append({"slot": t, "holder": list(holder), "partner": list(partner)})
 
     return {
         "n_total": n_collision + d_success,
@@ -491,21 +488,6 @@ def _request_lists(rng, n_slots: int, n_su: int, p: float) -> list:
     bounds = np.searchsorted(slots, np.arange(n_slots + 1)).tolist()
     users = users.tolist()
     return [users[bounds[t]: bounds[t + 1]] for t in range(n_slots)]
-
-
-def _append_audit(audit, t, pu_list, holder, partner, m_ch):
-    pu_busy = sum(pu_list[c][t] for c in range(m_ch))
-    held = sum(1 for c in range(m_ch) if holder[c] >= 0)
-    audit.append(
-        {
-            "slot": t,
-            "pu_busy": pu_busy,
-            "held": held,
-            "free": m_ch - pu_busy - held,
-            "holder": list(holder),
-            "partner": list(partner),
-        }
-    )
 
 
 def _argmax_reward(stats, candidates):
@@ -543,7 +525,8 @@ def _train_channel_elms(cfg: SimConfig, pu: np.ndarray, rep_seed: int):
 def _advisory_bits(cfg: SimConfig, pu: np.ndarray, models) -> list:
     """Advisory bit A per (channel, slot), an M x T list of ints.
 
-    A is the thresholded next-slot ELM prediction for the channel, or the
+    A is the next-slot ELM prediction for the channel, busy when its raw
+    output is at least lam as in the prediction scenario, or the
     current slot's state (persistence) where the channel has no model or
     too little history. It depends on neither the policy nor K, so one
     list serves every run over a repetition's traces. The prediction
@@ -557,8 +540,9 @@ def _advisory_bits(cfg: SimConfig, pu: np.ndarray, models) -> list:
         for t in range(w - 1, pu.shape[1]):
             key = row[(t - w + 1) * size: (t + 1) * size]  # the window's bytes
             if key not in memo:
-                window = pu[c, t - w + 1: t + 1]
-                memo[key] = threshold(elm_predict(model, window), cfg.lam)
+                # one row per call: a many-row product rounds some windows differently
+                raw = elm_predict_many(model, pu[c: c + 1, t - w + 1: t + 1])
+                memo[key] = int(raw[0] >= cfg.lam)
             bits[c][t] = memo[key]
     return bits
 
@@ -702,7 +686,7 @@ def summary_to_json(summary: RunSummary) -> str:
 
 
 def summary_to_csv(summary: RunSummary) -> str:
-    """One row per method x K x seed, sorted rows.
+    """One row per method x K x seed, sorted by method, then K and seed as numbers.
 
     The columns are the keys of the first row, in order; every driver builds
     its rows with one dict literal (eval_prediction's metrics keep a fixed
@@ -710,9 +694,8 @@ def summary_to_csv(summary: RunSummary) -> str:
     """
     columns = list(summary.rows[0])
     lines = [",".join(columns)]
-    def sort_key(row):
-        return tuple(str(row.get(c, "")) for c in ("method", "k", "seed"))
-    for row in sorted(summary.rows, key=sort_key):
+    rows = sorted(summary.rows, key=lambda r: (r["method"], r.get("k", 0), r["seed"]))
+    for row in rows:
         cells = []
         for col in columns:
             value = row.get(col)

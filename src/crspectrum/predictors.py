@@ -95,17 +95,6 @@ def elm_train(data: TrainingSet, hidden_count: int, seed: int) -> ElmModel:
     return ElmModel(input_dim=n, input_weights=W, biases=b, output_weights=beta)
 
 
-def elm_predict(model: ElmModel, window: Sequence[int]) -> float:
-    """Raw (unthresholded) output for one history window."""
-    x = np.asarray(window, dtype=np.float64)
-    if x.shape != (model.input_dim,):
-        raise ValueError(
-            f"window shape {x.shape} does not match input_dim {model.input_dim}"
-        )
-    h = np.sin(model.input_weights @ x + model.biases)
-    return float(h @ model.output_weights)
-
-
 def elm_predict_many(model: ElmModel, windows: np.ndarray) -> np.ndarray:
     """Raw outputs for a batch of windows, one row each."""
     X = np.asarray(windows, dtype=np.float64)
@@ -113,11 +102,6 @@ def elm_predict_many(model: ElmModel, windows: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected S x {model.input_dim} windows, got {X.shape}")
     H = np.sin(X @ model.input_weights.T + model.biases)
     return H @ model.output_weights
-
-
-def threshold(raw: float, lam: float = 0.5) -> int:
-    """Binarize a raw prediction; a value exactly at the threshold reads busy."""
-    return 1 if raw >= lam else 0
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -272,26 +256,24 @@ def hmm_fit(states) -> HmmModel:
 
 
 def hmm_predict(model: HmmModel, observations):
-    """Most likely next state after Viterbi-decoding each window (last axis).
+    """Most likely next state after Viterbi-decoding each row of S x n windows.
 
-    A 1-d window gives one int, a 2-d array one int64 per row. The log-domain
-    delta recursion runs over all windows at once; the decoded final state's
-    transition row gives the prediction, first maximum on ties.
+    Returns one int64 per row. The log-domain delta recursion runs over all
+    windows at once; the decoded final state's transition row gives the
+    prediction, first maximum on ties.
     """
-    obs = np.asarray(observations, dtype=np.int64)
-    if obs.ndim not in (1, 2) or obs.size == 0:
-        raise ValueError("observations must be a nonempty 1-d or 2-d array")
-    if obs.min() < 0 or obs.max() >= model.B.shape[1]:
+    windows = np.asarray(observations, dtype=np.int64)
+    if windows.ndim != 2 or windows.size == 0:
+        raise ValueError("observations must be a nonempty S x n array")
+    if windows.min() < 0 or windows.max() >= model.B.shape[1]:
         raise ValueError("observation outside the model's observation space")
-    windows = np.atleast_2d(obs)
     with np.errstate(divide="ignore"):
         log_pi, log_A = np.log(model.pi), np.log(model.A)
         log_B_obs = np.log(model.B).T  # row o: log P(o | state)
     delta = log_pi + log_B_obs[windows[:, 0]]
     for t in range(1, windows.shape[1]):
         delta = (delta[:, :, None] + log_A).max(axis=1) + log_B_obs[windows[:, t]]
-    pred = np.argmax(model.A, axis=1)[np.argmax(delta, axis=1)]
-    return int(pred[0]) if obs.ndim == 1 else pred
+    return np.argmax(model.A, axis=1)[np.argmax(delta, axis=1)]
 
 
 def eval_prediction(

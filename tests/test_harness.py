@@ -30,7 +30,7 @@ from crspectrum.harness import (
     summary_to_csv,
     summary_to_json,
 )
-from crspectrum.predictors import elm_predict, elm_train, make_training_set, threshold
+from crspectrum.predictors import elm_predict_many, elm_train, make_training_set
 from crspectrum.recommender import default_threshold, score_access
 from crspectrum.seeding import make_rng
 
@@ -146,17 +146,12 @@ class TestEngineInvariants:
         )
         assert len(audit) == 400
         for t, entry in enumerate(audit):
-            # recount from the trace and the holders, not the audit's sums:
             # a held channel is PU-idle and a user holds one channel at most
             busy = [c for c in range(4) if pu[c, t] == 1]
             held = [c for c in range(4) if entry["holder"][c] >= 0]
-            free = [c for c in range(4) if c not in busy and c not in held]
             assert not set(busy) & set(held)
             holders = [entry["holder"][c] for c in held]
             assert len(set(holders)) == len(holders)
-            assert (entry["pu_busy"], entry["held"], entry["free"]) == (
-                len(busy), len(held), len(free)
-            )
 
     def test_events_describe_every_counted_access(self):
         cfg = small_config("decision-1", n_su=8, n_channels=4, n_slots=400)
@@ -707,12 +702,15 @@ class TestAdvisoryBits:
         w = cfg.window
 
         def rule(c, t):
-            # bit A as the engine once built it, one (channel, slot) at a time
+            # bit A one (channel, slot) at a time, with no memo
             if models[c] is None or t + 1 < w:
                 return int(pu[c, t])
-            return threshold(elm_predict(models[c], pu[c, t - w + 1: t + 1]), cfg.lam)
+            raw = elm_predict_many(models[c], pu[c: c + 1, t - w + 1: t + 1])
+            return int(raw[0] >= cfg.lam)
 
-        with mock.patch.object(harness, "elm_predict", wraps=elm_predict) as spy:
+        with mock.patch.object(
+            harness, "elm_predict_many", wraps=elm_predict_many
+        ) as spy:
             bits = _advisory_bits(cfg, pu, models)
         m_ch, n_slots = pu.shape
         assert bits == [[rule(c, t) for t in range(n_slots)] for c in range(m_ch)]
@@ -723,6 +721,38 @@ class TestAdvisoryBits:
             if models[c] is not None
         )
         assert spy.call_count == distinct
+
+
+class TestThresholdBoundary:
+    # a raw output exactly at lam reads busy, in bit A and in the prediction
+    # scenario alike
+    @staticmethod
+    def _constant(value):
+        return lambda model, windows: np.full(len(windows), value)
+
+    def test_bit_a_reads_busy_at_lam(self):
+        w, n_slots = 4, 50
+        pu = (np.random.default_rng(8).random((2, n_slots)) < 0.5).astype(np.int64)
+        models = [elm_train(make_training_set(pu[0], w), 6, 8), None]
+        cfg = replace(default_config("decision-1"), window=w, lam=0.3)
+        with mock.patch.object(harness, "elm_predict_many", self._constant(cfg.lam)):
+            bits = _advisory_bits(cfg, pu, models)
+        assert bits[0][w - 1:] == [1] * (n_slots - w + 1)
+        assert bits[1] == pu[1].tolist()
+        below = np.nextafter(cfg.lam, -np.inf)
+        with mock.patch.object(harness, "elm_predict_many", self._constant(below)):
+            bits = _advisory_bits(cfg, pu, models)
+        assert bits[0][w - 1:] == [0] * (n_slots - w + 1)
+
+    def test_prediction_rows_read_busy_at_lam(self):
+        cfg = small_config("prediction", seed=4, lam=0.3)
+        with mock.patch.object(harness, "elm_predict_many", self._constant(cfg.lam)):
+            summary = run_scenario(cfg)
+        elm_rows = [r for r in summary.rows if r["method"] == "elm"]
+        assert elm_rows
+        for row in elm_rows:
+            assert row["tn"] == row["fn"] == 0  # every slot predicted busy
+            assert row["tp"] > 0 and row["fp"] > 0
 
 
 class TestDegenerateTraces:
@@ -774,6 +804,17 @@ class TestOutputs:
         lines = text.strip().split("\n")
         assert len(lines) == 1 + len(summary.rows)
         assert lines[0].startswith("method,")
+
+    def test_csv_sorts_k_and_seed_as_numbers(self):
+        summary = run_scenario(small_config("decision-1", k_min=9, k_max=10))
+        header, *lines = summary_to_csv(summary).splitlines()
+        columns = header.split(",")
+        keys = []
+        for line in lines:
+            cells = dict(zip(columns, line.split(",")))
+            keys.append((cells["method"], int(cells["k"]), int(cells["seed"])))
+        assert {k for _, k, _ in keys} == {9, 10}
+        assert keys == sorted(keys)
 
     def test_scenario_without_series_skips_svg(self, tmp_path):
         summary = run_scenario(small_config("recommendation", seed=13))

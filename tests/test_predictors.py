@@ -17,7 +17,6 @@ from crspectrum.predictors import (
     bp_loss,
     bp_predict_many,
     bp_train,
-    elm_predict,
     elm_predict_many,
     elm_train,
     eval_prediction,
@@ -25,7 +24,6 @@ from crspectrum.predictors import (
     hmm_predict,
     HmmModel,
     make_training_set,
-    threshold,
     transition_error_fraction,
 )
 from crspectrum.seeding import make_rng
@@ -105,7 +103,9 @@ class TestElm:
         raw = elm_predict_many(model, data.inputs)
         assert np.mean((raw - data.targets) ** 2) < 1e-10
         for i in range(0, S, 17):
-            assert abs(elm_predict(model, data.inputs[i]) - data.targets[i]) < 1e-6
+            one = elm_predict_many(model, data.inputs[i: i + 1])
+            assert one.shape == (1,)
+            assert abs(one[0] - data.targets[i]) < 1e-6
 
     def test_init_range(self):
         tr = generate_trace(ChannelParams(10.0, 10.0), 500, seed=2)
@@ -121,7 +121,7 @@ class TestElm:
             seed=0,
         )
         model.output_weights = np.zeros(3)
-        assert elm_predict(model, [1, 0]) == 0.0
+        assert elm_predict_many(model, [[1, 0]]).tolist() == [0.0]
 
     def test_closed_form_single_unit(self):
         from crspectrum.predictors import ElmModel
@@ -132,29 +132,15 @@ class TestElm:
             biases=np.array([np.pi / 2]),
             output_weights=np.array([1.0]),
         )
-        assert elm_predict(model, [0, 0]) == pytest.approx(1.0, abs=1e-12)
+        assert elm_predict_many(model, [[0, 0]])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         tr = generate_trace(ChannelParams(10.0, 10.0), 500, seed=2)
         model = elm_train(make_training_set(tr, 10), 30, seed=9)
         with pytest.raises(ValueError):
-            elm_predict(model, [0, 1, 0])
-
-
-class TestThreshold:
-    def test_above(self):
-        assert threshold(0.7, 0.5) == 1
-
-    def test_below(self):
-        assert threshold(0.3, 0.5) == 0
-
-    def test_tie_reads_busy(self):
-        assert threshold(0.5, 0.5) == 1
-
-    def test_always_binary(self):
-        rng = np.random.default_rng(0)
-        for raw in rng.normal(scale=3.0, size=200):
-            assert threshold(float(raw)) in (0, 1)
+            elm_predict_many(model, [[0, 1, 0]])
+        with pytest.raises(ValueError):
+            elm_predict_many(model, np.zeros(10))  # one window needs a 1 x n row
 
 
 def _fd_gradients(model, X, T, h=1e-6):
@@ -505,24 +491,23 @@ class TestHmm:
     def test_predict_alternating(self):
         states = np.tile([0, 1], 500)
         model = hmm_fit(states)
-        assert hmm_predict(model, [1, 0]) == 1
-        assert hmm_predict(model, [0, 1]) == 0
+        assert hmm_predict(model, [[1, 0], [0, 1]]).tolist() == [1, 0]
 
     def test_predict_persistent(self):
         eye = np.array([[1.0, 0.0], [0.0, 1.0]])
         model = HmmModel(pi=np.array([0.5, 0.5]), A=eye, B=eye)
-        assert hmm_predict(model, [1, 1, 1]) == 1
-        assert hmm_predict(model, [1]) == 1
+        assert hmm_predict(model, [[1, 1, 1]]).tolist() == [1]
+        assert hmm_predict(model, [[1]]).tolist() == [1]
 
     def test_single_observation(self):
         states = np.tile([0, 1], 500)
         model = hmm_fit(states)
-        assert hmm_predict(model, [0]) == 1
+        assert hmm_predict(model, [[0]]).tolist() == [1]
 
     def test_bad_observation(self):
         model = hmm_fit(np.tile([0, 1], 50))
         with pytest.raises(ValueError):
-            hmm_predict(model, [0, 2])
+            hmm_predict(model, [[0, 2]])
         with pytest.raises(ValueError):
             hmm_predict(model, [[0, 1], [1, -1]])
 
@@ -533,6 +518,11 @@ class TestHmm:
                 hmm_predict(model, obs)
         with pytest.raises(ValueError):
             hmm_predict(model, np.zeros((2, 2, 2), dtype=np.int64))
+
+    def test_rejects_a_1d_window(self):
+        model = hmm_fit(np.tile([0, 1], 50))
+        with pytest.raises(ValueError, match="S x n"):
+            hmm_predict(model, [0, 1, 0])
 
 
 def _hmm_predict_reference(model, observations):
@@ -607,7 +597,9 @@ class TestHmmMatchesNumpyViterbi:
     @given(_hmm_and_window())
     def test_same_prediction(self, case):
         model, window = case
-        assert hmm_predict(model, window) == _hmm_predict_reference(model, window)
+        assert hmm_predict(model, [window]).tolist() == [
+            _hmm_predict_reference(model, window)
+        ]
 
     @settings(max_examples=200, deadline=None)
     @given(_hmm_and_windows())
@@ -616,7 +608,7 @@ class TestHmmMatchesNumpyViterbi:
         pred = hmm_predict(model, windows)
         assert pred.dtype == np.int64
         assert pred.tolist() == [_hmm_predict_plain_float(model, w) for w in windows]
-        assert pred.tolist() == [hmm_predict(model, w) for w in windows]
+        assert pred.tolist() == [hmm_predict(model, w[None])[0] for w in windows]
 
     def test_fitted_model_on_trace_windows(self):
         tr = generate_trace(ChannelParams(7.0, 3.0), 3000, seed=12)
