@@ -279,23 +279,22 @@ def _simulate_access(
     weights=None,
     neighbor_lists=None,
     collect_events: bool = False,
-    audit: Optional[list] = None,
 ):
     """Run one policy over shared channel traces for a full horizon.
 
     pu is the M x T occupancy matrix. env_seed drives the request and
     arbitration streams (shared across methods so policies face identical
     demand); act_seed drives the agent's own randomness. Returns the
-    metric counts and, with collect_events, the per-decision events.
+    metric counts and, with collect_events, the run's only trace: one event
+    per resolved hold, naming its user su and its receiving partner (-1
+    for none).
     Accesses granted during the warm-up phase train the agents and seed
     the score matrix but are excluded from the metric counts. a_bits,
     an M x T list, gives advisory bit A per channel and slot; it may be
     None only when nothing reads it: cf or random without events. In
     decision-2, ``channel.links`` gives weights[u][v], the discount of v's
     ratings for user u, and neighbor_lists[u], u's partners in increasing
-    index order; a request takes the first one not busy. audit, when
-    given, gets one entry per slot, after its grants: the slot, each
-    channel's holder and each user's receiving partner (-1 for none).
+    index order; a request takes the first one not busy.
 
     Each hold's end slot is booked when it is granted: the first of the
     next K slots in which the PU is back (a collision), else K slots on.
@@ -349,8 +348,9 @@ def _simulate_access(
             rating = score_access(t - t0 if collision else k, k)
             holder[channel] = -1
             busy[su] = False
-            if partner[su] >= 0:
-                busy[partner[su]] = False
+            v = partner[su]  # su's receiver, -1 for none
+            if v >= 0:
+                busy[v] = False
                 partner[su] = -1
             if keeps_matrix:
                 matrix.append(su, channel, t, rating)
@@ -379,6 +379,7 @@ def _simulate_access(
                         "slot": t,
                         "t0": t0,
                         "su": su,
+                        "partner": v,
                         "state": state,
                         "action": channel,
                         "A": a,
@@ -467,8 +468,6 @@ def _simulate_access(
             if weights is not None:
                 partner[su] = v
                 busy[v] = True
-        if audit is not None:
-            audit.append({"slot": t, "holder": list(holder), "partner": list(partner)})
 
     return {
         "n_total": n_collision + d_success,
@@ -715,8 +714,8 @@ def emit_outputs(summary: RunSummary, formats, out_dir: str) -> list:
     formats is an iterable drawn from OUTPUT_FORMATS. File names embed
     the scenario and master seed. A series with no defined point gets no
     chart. A summary that carries events (run_scenario with collect_events)
-    also gets its event log, one JSON object per line. Unwritable paths
-    raise OSError.
+    also gets its event log, one JSON object per line, empty when no
+    access resolved. Unwritable paths raise OSError.
     """
     formats = set(formats)
     unknown = formats - set(OUTPUT_FORMATS)
@@ -750,7 +749,7 @@ def emit_outputs(summary: RunSummary, formats, out_dir: str) -> list:
                 series={k: lines[k] for k in sorted(lines)},
             )
             _write(f"{base}_{name}.svg", svg_text)
-    if summary.events:
+    if summary.events is not None:
         text = "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in summary.events)
         _write(f"{base}_events.jsonl", text)
     return written

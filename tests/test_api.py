@@ -8,7 +8,8 @@ console script. Neither unit tests nor the function's own module keep a
 name public. Classes may stay public without such a user, as the types
 public functions return. A module-level function with a leading
 underscore must be called or named somewhere under src/ outside its own
-body, so no private helper lives on for tests alone.
+body, so no private helper lives on for tests alone, and the slot engine
+takes no parameter that the access driver does not pass.
 """
 
 import ast
@@ -18,6 +19,7 @@ import re
 from pathlib import Path
 
 import crspectrum
+from crspectrum.harness import _simulate_access
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "crspectrum"
@@ -99,6 +101,25 @@ def test_every_private_function_is_used_in_src():
         and fn.name not in _names(node for node in statements if node is not fn)
     ]
     assert unused == []
+
+
+def test_engine_takes_only_what_the_driver_passes():
+    # an engine parameter that the access driver never passes is an input
+    # form that lives on for unit tests alone
+    tree = _parse(PACKAGE / "harness.py")
+    [driver] = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_run_access"
+    ]
+    [call] = [
+        node for node in ast.walk(driver)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_simulate_access"
+    ]
+    assert not any(isinstance(arg, ast.Starred) for arg in call.args)
+    params = list(inspect.signature(_simulate_access).parameters)
+    passed = params[: len(call.args)] + [kw.arg for kw in call.keywords]
+    assert sorted(passed) == sorted(params)
 
 
 def test_root_is_the_run_api():

@@ -215,6 +215,23 @@ class TestConfigPrecedence:
         printed = capsys.readouterr().out.strip().split("\n")
         assert any(p.endswith("events.jsonl") for p in printed)
 
+    def test_verbose_writes_an_empty_log_when_nothing_resolves(
+        self, tmp_path, capsys
+    ):
+        conf = write_conf(
+            tmp_path,
+            "scenario = decision-1\nn_slots = 200\nk_max = 4\nreps = 1\n"
+            "request_prob = 0\n",
+        )
+        code = main(
+            ["--config", conf, "--out", str(tmp_path / "out"),
+             "--format", "json", "--verbose"]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out.strip().split("\n")
+        [log] = [p for p in printed if p.endswith("events.jsonl")]
+        assert open(log, encoding="utf-8").read() == ""
+
 
 class TestConsoleEntry:
     def test_module_invocation_round_trips(self, tmp_path):

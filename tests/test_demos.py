@@ -34,4 +34,5 @@ def test_predict_occupancy_runs(monkeypatch, tmp_path, capsys):
     demo.main()
     out = capsys.readouterr().out
     assert "window sweep: test mse minimal at" in out
-    assert (tmp_path / "prediction_window_sweep.svg").is_file()
+    assert "training is" in out
+    assert (tmp_path / "prediction_seed42_mse_vs_window.svg").is_file()

@@ -140,17 +140,19 @@ class TestEngineInvariants:
         cfg = small_config("decision-1", n_su=8, n_channels=4, n_slots=400)
         rng = np.random.default_rng(3)
         pu = (rng.random((4, 400)) < 0.3).astype(np.int64)
-        audit = []
-        _simulate_access(
-            cfg, pu, "random", k=3, env_seed=5, act_seed=6, audit=audit
+        res = _simulate_access(
+            cfg, pu, "random", k=3, env_seed=5, act_seed=6, a_bits=pu.tolist(),
+            collect_events=True,
         )
-        assert len(audit) == 400
-        for t, entry in enumerate(audit):
-            # a held channel is PU-idle and a user holds one channel at most
-            busy = [c for c in range(4) if pu[c, t] == 1]
-            held = [c for c in range(4) if entry["holder"][c] >= 0]
-            assert not set(busy) & set(held)
-            holders = [entry["holder"][c] for c in held]
+        assert len(res["events"]) > 0
+        for t in range(400):
+            # the holds live at the end of slot t: granted by t, ending after
+            # it. A held channel is PU-idle and a user holds one channel at most
+            live = [ev for ev in res["events"] if ev["t0"] <= t < ev["slot"]]
+            held = [ev["action"] for ev in live]
+            assert len(set(held)) == len(held)
+            assert not any(pu[c, t] for c in held)
+            holders = [ev["su"] for ev in live]
             assert len(set(holders)) == len(holders)
 
     def test_events_describe_every_counted_access(self):
@@ -247,25 +249,6 @@ class TestHoldEnds:
         )
 
 
-def _grant_slots(audit, k):
-    """Slots where some user was granted a channel, read off the audit.
-
-    A channel's holder at the end of a slot is new when it differs from
-    the previous slot's, or when the previous hold ran its k slots (the
-    same user may take the channel again the slot it ends).
-    """
-    slots, start = set(), {}
-    previous = [-1] * len(audit[0]["holder"])
-    for entry in audit:
-        t = entry["slot"]
-        for c, su in enumerate(entry["holder"]):
-            if su >= 0 and (su != previous[c] or t >= start[c] + k):
-                start[c] = t
-                slots.add(t)
-        previous = entry["holder"]
-    return slots
-
-
 class TestScoringFollowsGrants:
     """Listings are built for granted requests only: once per grant slot
     when shared, once per grant when distance-weighted."""
@@ -312,9 +295,9 @@ class TestScoringFollowsGrants:
 
     def test_cf_scores_post_warmup_grant_slots_only(self):
         cfg = small_config("recommendation", warmup_slots=60)
-        audit = []
-        res, shared, located = self._run(cfg, "cf", 10, audit=audit)
-        slots = {t for t in _grant_slots(audit, 3) if t >= cfg.warmup_slots}
+        logged, _, _ = self._run(cfg, "cf", 10, collect_events=True)
+        res, shared, located = self._run(cfg, "cf", 10)
+        slots = {ev["t0"] for ev in logged["events"] if ev["t0"] >= cfg.warmup_slots}
         assert len(slots) > 0
         assert shared == cfg.n_channels * len(slots)
         assert located == 0
@@ -373,33 +356,21 @@ class TestEngineProperties:
     def test_invariants(self, case):
         cfg, pu, k = case["cfg"], case["pu"], case["k"]
         neighbor_lists = case["neighbor_lists"]
-        m_ch, n_slots = pu.shape
-        audit = []
-        res = _simulate_access(**case, collect_events=True, audit=audit)
+        n_slots = pu.shape[1]
+        res = _simulate_access(**case, collect_events=True)
         events = res["events"]
 
-        # at the end of every slot: each held channel is PU-idle, a user
-        # holds at most one channel, and in decision-2 every holder has its
-        # own partner, a free neighbor
-        assert [entry["slot"] for entry in audit] == list(range(n_slots))
-        for entry in audit:
-            t, holder, partner = entry["slot"], entry["holder"], entry["partner"]
-            holders = [su for su in holder if su >= 0]
-            assert len(set(holders)) == len(holders)
-            assert all(pu[c, t] == 0 for c, su in enumerate(holder) if su >= 0)
-            receivers = [v for v in partner if v >= 0]
+        # in decision-2 every hold names its receiver, one of its sender's
+        # neighbors; elsewhere no hold has one
+        for ev in events:
             if neighbor_lists is None:
-                assert not receivers
-                continue
-            assert len(set(receivers)) == len(receivers)
-            assert not set(receivers) & set(holders)
-            for su, v in enumerate(partner):
-                assert (v >= 0) == (su in holders)
-                assert v < 0 or v in neighbor_lists[su]
+                assert ev["partner"] == -1
+            else:
+                assert ev["partner"] in neighbor_lists[ev["su"]]
 
         # every hold starts on an idle channel, ends at the PU's first
         # return or after K slots, and never overlaps another hold of its
-        # channel or its user
+        # channel or of a user it sends or receives for
         for ev in events:
             c, t0, end = ev["action"], ev["t0"], ev["slot"]
             assert t0 + k <= n_slots
@@ -408,10 +379,12 @@ class TestEngineProperties:
                 assert t0 < end < t0 + k and pu[c, end] == 1
             else:
                 assert end == t0 + k
-        for field in ("action", "su"):
+        for fields in (("action",), ("su", "partner")):
             spans = {}
             for ev in events:
-                spans.setdefault(ev[field], []).append((ev["t0"], ev["slot"]))
+                for f in fields:
+                    spans.setdefault(ev[f], []).append((ev["t0"], ev["slot"]))
+            spans.pop(-1, None)  # no receiver
             for intervals in spans.values():
                 intervals.sort()
                 for (_, end), (start, _) in zip(intervals, intervals[1:]):
@@ -467,7 +440,8 @@ def reference_access(cfg, pu, method, k, env_seed, act_seed, a_bits,
                 q_update(table, state, c, r, code(t) if t < n_slots else state)
             sums[state, c] = sums.get((state, c), 0.0) + r
             counts[state, c] = counts.get((state, c), 0) + 1
-            events.append({"slot": t, "t0": t0, "su": su, "state": state,
+            events.append({"slot": t, "t0": t0, "su": su,
+                           "partner": h["partner"], "state": state,
                            "action": c, "A": a_bits[c][t0], "B": h["b"],
                            "reward": r, "collision": collision,
                            "counted": t0 >= cfg.warmup_slots})
@@ -484,7 +458,7 @@ def reference_access(cfg, pu, method, k, env_seed, act_seed, a_bits,
                 break
             if su in busy:
                 continue
-            v = None
+            v = -1  # no receiver
             if weights is not None:
                 free = [u for u in neighbor_lists[su] if u not in busy]
                 if not free:
@@ -637,16 +611,17 @@ class TestEventsOff:
 
 
 class TestEventLogsPinned:
-    """SHA-256 of each event log (bits A and B and the reward of every
-    policy's accesses), as json.dumps(events, sort_keys=True)."""
+    """SHA-256 of each event log (bits A and B, the reward and the
+    receiving partner of every policy's accesses), as
+    json.dumps(events, sort_keys=True)."""
 
     DIGESTS = {
-        ("recommendation", 0): "c9f02839e8197c463ef80950857a39f5b5e36253aa3d78b0dafe7afaed38bbc4",
-        ("recommendation", 1): "0952f009d587963c14728c295747e07f1ab0d2cef96489699ec9968ec23e07a9",
-        ("decision-1", 0): "20654ab1227b2ed546bd4caa968118475f46107dc894fd934f85dbed0ea11244",
-        ("decision-1", 1): "0556302ab8815645ed4c9459a12331784fbb5d10e832449b201e10818761a0fe",
-        ("decision-2", 0): "2b121fb64a6481d29214083a408103d03fb81ca80adc5061a060a6b696ffa23b",
-        ("decision-2", 1): "bc6c2172ae92dfce1bc620a5ece709eab90db5ef7955cb5ed8ddb65c930f1f66",
+        ("recommendation", 0): "09ebe8e71e65d90a73eaca56e26282a7140df1c53c944fcd882316a6fbb78ad5",
+        ("recommendation", 1): "37117fcc17fcd52c5a63390918f3c0fcd3b058d7eb01f9db63a6636f75bd12bf",
+        ("decision-1", 0): "c8915a2ff9fd99a0aa8868c4c13a7698b01e36e51fbb401134fb048e37b7c891",
+        ("decision-1", 1): "d25b608274258027222948f84258d92696fa888acbbb36296ad9dcde5adf36e2",
+        ("decision-2", 0): "0d1f25c4cf2f233090e22efc2acf7c78385736d0eb4fb75a19f5bb020ab73ec8",
+        ("decision-2", 1): "2663326ee0970a9b93cb1a82bd0f889ad1bf3a40425a44c56855328032be7547",
     }
 
     @pytest.mark.parametrize("scenario, seed", sorted(DIGESTS))

@@ -4,9 +4,11 @@ The engine and offline regressions pin rows only, so a change to the
 aggregates or the series would pass them. This pins the SHA-256 of
 summary_to_json and summary_to_csv for every trimmed config of
 test_harness.small_config at master seeds 0-2. For prediction the bp rows
-and the *_bp aggregates are left out before hashing: the last digits of
-BP's mse depend on the BLAS thread count. A change meant to keep outputs
-byte-identical must leave every digest in place.
+and the *_bp aggregates are left out of DIGESTS, because the last digits of
+BP's mse once moved with the BLAS thread count; BP_DIGESTS pins the whole
+prediction summary, bp included, which gave the same bytes under one and
+two OpenBLAS threads. A change meant to keep outputs byte-identical must
+leave every digest in place.
 """
 
 import hashlib
@@ -36,6 +38,20 @@ DIGESTS = {
     ("decision-2", 2): ("300fc4916def6586714852aa4e41319ebdeec354b75a6726b15d6b5dc73e1c27", "9e81ed49e721d81c491d210948290cd13612436f6a16073a2db92f843b75c46c"),
 }
 
+# prediction seed -> (json sha256, csv sha256), bp rows and aggregates included
+BP_DIGESTS = {
+    0: ("9902d6d602bd95af99f4c6d3da946a783cc893e513d1f94fa7f2d933996f0cd3", "c959d316eca2aa3075ebab9b44d8296104d4c639b9cfc0bf32ce11e85e332659"),
+    1: ("c14c46fe767706338c36d7aaea219486fb30821389174a2101961fdc67b527d1", "93a3bfbbb17f567c5f1c78a30688d5e2d6b8d191b4290c6d38cb1cd28240b395"),
+    2: ("13100c900bb251e5a3cff116d508cc254a87c8b81f8a3490884d2b6e97471999", "e3f052df356e667ffb06cf99e55875403edc129b74d8be707fbfc4ee0adcf74c"),
+}
+
+
+def _digests(summary):
+    return tuple(
+        hashlib.sha256(text.encode()).hexdigest()
+        for text in (summary_to_json(summary), summary_to_csv(summary))
+    )
+
 
 def _without_bp(summary):
     return replace(
@@ -52,8 +68,10 @@ def test_exports_match_recorded_digests(scenario, seed):
     summary = run_scenario(small_config(scenario, seed=seed))
     if scenario == "prediction":
         summary = _without_bp(summary)
-    got = tuple(
-        hashlib.sha256(text.encode()).hexdigest()
-        for text in (summary_to_json(summary), summary_to_csv(summary))
-    )
-    assert got == DIGESTS[(scenario, seed)]
+    assert _digests(summary) == DIGESTS[(scenario, seed)]
+
+
+@pytest.mark.parametrize("seed", sorted(BP_DIGESTS))
+def test_prediction_exports_with_bp_match_recorded_digests(seed):
+    summary = run_scenario(small_config("prediction", seed=seed))
+    assert _digests(summary) == BP_DIGESTS[seed]
