@@ -67,10 +67,12 @@ def show_decision():
         f"{np.max(np.abs(pc_random - pc_q)):.4f}."
     )
     print(
-        "  with thirty users contending for roughly seven idle channels, the"
-        "\n  grant arbitration, not the choice rule, decides most accesses; this"
-        "\n  run is at default demand only, so it does not show which way the"
-        "\n  policies separate at lower demand."
+        "  with thirty users contending for roughly seven idle channels, grant"
+        "\n  arbitration, not the choice rule, decides about a third of the"
+        "\n  grants: a count of every grant in this run (all methods, warm-up"
+        "\n  included) found one idle candidate left in 62,505 of 173,393"
+        "\n  (36.0%). This run is at default demand only, so it does not show"
+        "\n  which way the policies separate at lower demand."
     )
     written = emit_outputs(summary, ["svg"], OUT_DIR)
     for path in written:

@@ -14,7 +14,6 @@ from crspectrum.channel import ChannelParams, generate_trace
 from crspectrum.fusion import (
     decode_state,
     encode_state,
-    greedy_actions,
     m_out_of_n,
     noisy_local_predictions,
     soft_fuse,
@@ -47,14 +46,14 @@ def main():
     accuracies["soft combining"] = float(np.mean(soft == states))
 
     table = train_fusion(bits, states, seed=SEED + 2)
-    learned = greedy_actions(table)[encode_state(bits)]
+    policy = np.argmax(table, axis=1)  # ties go to idle, action 0
+    learned = policy[encode_state(bits)]
     accuracies["learned fusion"] = float(np.mean(learned == states))
 
     print("\nfusion rules:")
     for name, acc in accuracies.items():
         print(f"  {name:15s} {acc:.4f}")
 
-    policy = greedy_actions(table)
     majority = [1 if decode_state(s, 3).sum() >= 2 else 0 for s in range(8)]
     agree = sum(1 for s in range(8) if policy[s] == majority[s])
     print(f"\nlearned policy agrees with the majority vote in {agree}/8 states")

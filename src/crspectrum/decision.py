@@ -105,31 +105,21 @@ def q_update(table: DecisionQTable, s: int, a: int, r: float, s_next: int) -> No
     table.values[s, a] += table.alpha * (target - table.values[s, a])
 
 
-@dataclass
-class MdpModel:
-    """Empirical decision process: shared transitions, per-(s,a) rewards."""
-
-    transition: np.ndarray       # S x S (shared rows) or S x A x S
-    reward: np.ndarray           # S (state reward) or S x A
-    gamma: float = 0.5
-
-
-def value_iteration(model: MdpModel, tol: float = 1e-6):
+def value_iteration(transition, reward, gamma: float, tol: float = 1e-6):
     """Iterate Bellman backups to the optimal value function and policy.
 
     Stops when the max-norm change drops below tol; greedy ties resolve to
-    the lowest action index. Accepts shared (S x S) or per-action
-    (S x A x S) transitions and per-state or per-(s,a) rewards.
+    the lowest action index. transition is shared (S x S) or per-action
+    (S x A x S); reward is per-state (S) or per-(s,a) (S x A).
     """
-    g = model.gamma
-    if not 0 <= g < 1:
-        raise ValueError(f"gamma must be in [0, 1), got {g}")
+    if not 0 <= gamma < 1:
+        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    R = np.asarray(model.reward, dtype=np.float64)
+    R = np.asarray(reward, dtype=np.float64)
     if R.ndim == 1:
         R = R[:, None]
-    P = np.asarray(model.transition, dtype=np.float64)
+    P = np.asarray(transition, dtype=np.float64)
     S, A = R.shape
     V = np.zeros(S)
     for _ in range(1_000_000):
@@ -137,7 +127,7 @@ def value_iteration(model: MdpModel, tol: float = 1e-6):
             future = (P @ V)[:, None]  # same continuation for every action
         else:
             future = P @ V  # S x A
-        Q = R + g * future
+        Q = R + gamma * future
         V_new = Q.max(axis=1)
         delta = float(np.max(np.abs(V_new - V)))
         V = V_new

@@ -49,11 +49,6 @@ def decode_state(code: int, n_bits: int) -> np.ndarray:
     return (code >> np.arange(n_bits, dtype=np.int64)) & 1
 
 
-def greedy_actions(values: np.ndarray) -> np.ndarray:
-    """Per-state greedy action of a 2^N x 2 value array, ties toward idle."""
-    return np.argmax(values, axis=1)
-
-
 def train_fusion(
     local_bits: np.ndarray,
     actual: Sequence[int],

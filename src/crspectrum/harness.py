@@ -33,7 +33,6 @@ from .decision import (
 )
 from .fusion import (
     encode_state,
-    greedy_actions,
     m_out_of_n,
     noisy_local_predictions,
     soft_fuse,
@@ -149,15 +148,15 @@ def _run_prediction(cfg: SimConfig) -> RunSummary:
         rep_seed, states = _rep_trace(cfg, rep)
         half = cfg.n_slots // 2
         train = make_training_set(states[:half], cfg.window)
-        test = make_training_set(states[half - cfg.window:], cfg.window)
-        actual = test.targets.astype(np.int64)
+        test_x, test_y = make_training_set(states[half - cfg.window:], cfg.window)
+        actual = test_y.astype(np.int64)
 
         t0 = time.perf_counter()
-        elm = elm_train(train, cfg.elm_hidden, derive_seed(rep_seed, _TAG_ELM))
+        elm = elm_train(*train, cfg.elm_hidden, derive_seed(rep_seed, _TAG_ELM))
         t_elm = time.perf_counter() - t0
         t0 = time.perf_counter()
         bp = bp_train(
-            train,
+            *train,
             hidden_count=cfg.bp_hidden,
             learning_rate=cfg.bp_lr,
             max_epochs=cfg.bp_epochs,
@@ -169,9 +168,9 @@ def _run_prediction(cfg: SimConfig) -> RunSummary:
         hmm = hmm_fit(states[:half])
         t_hmm = time.perf_counter() - t0
 
-        raw_elm = elm_predict_many(elm, test.inputs)
-        raw_bp = bp_predict_many(bp, test.inputs)
-        pred_hmm = hmm_predict(hmm, test.inputs)
+        raw_elm = elm_predict_many(elm, test_x)
+        raw_bp = bp_predict_many(bp, test_x)
+        pred_hmm = hmm_predict(hmm, test_x)
         per_method = {
             "elm": ((raw_elm >= cfg.lam).astype(np.int64), raw_elm, t_elm),
             "bp": ((raw_bp >= cfg.lam).astype(np.int64), raw_bp, t_bp),
@@ -189,10 +188,10 @@ def _run_prediction(cfg: SimConfig) -> RunSummary:
             timings[f"{method}_train_s_rep{rep}"] = t_train
         for j, w in enumerate(sweep_windows):
             tr_w = make_training_set(states[:half], w)
-            te_w = make_training_set(states[half - w:], w)
-            model_w = elm_train(tr_w, cfg.elm_hidden, derive_seed(rep_seed, _TAG_ELM, w))
-            raw_w = elm_predict_many(model_w, te_w.inputs)
-            sweep_mse[rep, j] = float(np.mean((raw_w - te_w.targets) ** 2))
+            te_x, te_y = make_training_set(states[half - w:], w)
+            model_w = elm_train(*tr_w, cfg.elm_hidden, derive_seed(rep_seed, _TAG_ELM, w))
+            raw_w = elm_predict_many(model_w, te_x)
+            sweep_mse[rep, j] = float(np.mean((raw_w - te_y) ** 2))
 
     series = {
         "mse_vs_window": {
@@ -229,7 +228,7 @@ def _run_fusion(cfg: SimConfig) -> RunSummary:
             r_n=cfg.r_n,
             epsilon=cfg.epsilon,
         )
-        policy = greedy_actions(values)
+        policy = np.argmax(values, axis=1)  # ties go to idle, action 0
         preds = {"q_fusion": policy[encode_state(bits)]}
         n = bits.shape[1]
         for m in range(1, n + 1):
@@ -240,15 +239,15 @@ def _run_fusion(cfg: SimConfig) -> RunSummary:
         preds["soft"] = soft_fuse(1.0 - p1, p1)
         half = cfg.n_slots // 2
         hmm = hmm_fit(states[:half])
-        test = make_training_set(states[half - cfg.window:], cfg.window)
-        hmm_pred = hmm_predict(hmm, test.inputs)
+        test_x, test_y = make_training_set(states[half - cfg.window:], cfg.window)
+        hmm_pred = hmm_predict(hmm, test_x)
 
         for i in range(n):
             preds[f"local_{i}"] = bits[:, i]
         # every method is scored on the whole trace but hmm, which predicts
         # the test half only
         scored = [(method, pred, states) for method, pred in preds.items()]
-        scored.append(("hmm", hmm_pred, test.targets.astype(np.int64)))
+        scored.append(("hmm", hmm_pred, test_y.astype(np.int64)))
         for method, pred, actual in scored:
             m = eval_prediction(pred, actual)
             rows.append(
@@ -516,7 +515,7 @@ def _train_channel_elms(cfg: SimConfig, pu: np.ndarray, rep_seed: int):
             continue
         data = make_training_set(prefix, cfg.window)
         models.append(
-            elm_train(data, cfg.elm_hidden, derive_seed(rep_seed, _TAG_ELM, ch))
+            elm_train(*data, cfg.elm_hidden, derive_seed(rep_seed, _TAG_ELM, ch))
         )
     return models
 

@@ -21,27 +21,12 @@ from .seeding import make_rng
 _RCOND = 1e-10
 
 
-@dataclass
-class TrainingSet:
-    """Sliding-window samples: inputs[i] is n consecutive states, targets[i] the next."""
+def make_training_set(states, window: int):
+    """Slice a 0/1 state trace into (inputs, targets) float64 arrays.
 
-    inputs: np.ndarray   # S x n float64, entries 0/1
-    targets: np.ndarray  # length S float64, entries 0/1
-
-    @property
-    def n_samples(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
-    def window(self) -> int:
-        return self.inputs.shape[1]
-
-
-def make_training_set(states, window: int) -> TrainingSet:
-    """Slice a 0/1 state trace into (n-slot history, next slot) samples.
-
-    A trace of length T yields T - window samples; the trace must be longer
-    than the window.
+    Row i of the S x window inputs is n consecutive states and targets[i]
+    the state after them. A trace of length T yields S = T - window samples;
+    the trace must be longer than the window.
     """
     states = np.asarray(states)
     if window < 1:
@@ -53,7 +38,7 @@ def make_training_set(states, window: int) -> TrainingSet:
     sw = np.lib.stride_tricks.sliding_window_view(states, window)
     inputs = sw[:-1].astype(np.float64)
     targets = states[window:].astype(np.float64)
-    return TrainingSet(inputs=inputs, targets=targets)
+    return inputs, targets
 
 
 def _pinv_solve(H: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -70,36 +55,46 @@ def _pinv_solve(H: np.ndarray, T: np.ndarray) -> np.ndarray:
     return beta
 
 
+def _check_samples(inputs, targets) -> None:
+    """Require S x n inputs with S >= 1 and one target per input row."""
+    shape = np.shape(inputs)
+    if len(shape) != 2 or shape[0] < 1:
+        raise ValueError(f"inputs must be a nonempty S x n array, got shape {shape}")
+    if np.shape(targets) != shape[:1]:
+        raise ValueError(f"need one target per input row, got {np.shape(targets)}")
+
+
 @dataclass
 class ElmModel:
     """Random sine-feature network with least-squares output weights."""
 
-    input_dim: int
     input_weights: np.ndarray   # L x n, drawn uniform [-1, 1]
     biases: np.ndarray          # length L, drawn uniform [-1, 1]
     output_weights: np.ndarray  # length L, least-squares fit
 
 
-def elm_train(data: TrainingSet, hidden_count: int, seed: int) -> ElmModel:
-    """Fit output weights in closed form over random sine features."""
+def elm_train(inputs, targets, hidden_count: int, seed: int) -> ElmModel:
+    """Fit output weights in closed form over random sine features.
+
+    inputs is S x n and targets has length S, as make_training_set gives.
+    """
     if hidden_count < 1:
         raise ValueError(f"hidden_count must be >= 1, got {hidden_count}")
-    if data.n_samples < 1:
-        raise ValueError("training set is empty")
+    _check_samples(inputs, targets)
     rng = make_rng(seed)
-    n = data.window
-    W = rng.uniform(-1.0, 1.0, size=(hidden_count, n))
+    W = rng.uniform(-1.0, 1.0, size=(hidden_count, np.shape(inputs)[1]))
     b = rng.uniform(-1.0, 1.0, size=hidden_count)
-    H = np.sin(data.inputs @ W.T + b)
-    beta = _pinv_solve(H, data.targets)
-    return ElmModel(input_dim=n, input_weights=W, biases=b, output_weights=beta)
+    H = np.sin(inputs @ W.T + b)
+    beta = _pinv_solve(H, targets)
+    return ElmModel(input_weights=W, biases=b, output_weights=beta)
 
 
 def elm_predict_many(model: ElmModel, windows: np.ndarray) -> np.ndarray:
     """Raw outputs for a batch of windows, one row each."""
     X = np.asarray(windows, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ValueError(f"expected S x {model.input_dim} windows, got {X.shape}")
+    n = model.input_weights.shape[1]
+    if X.ndim != 2 or X.shape[1] != n:
+        raise ValueError(f"expected S x {n} windows, got {X.shape}")
     H = np.sin(X @ model.input_weights.T + model.biases)
     return H @ model.output_weights
 
@@ -120,7 +115,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class BpModel:
     """Single-hidden-layer sigmoid network trained by backpropagation."""
 
-    input_dim: int
     w_hidden: np.ndarray  # L x n
     b_hidden: np.ndarray  # length L
     w_out: np.ndarray     # length L
@@ -159,7 +153,8 @@ def bp_gradients(model: BpModel, X: np.ndarray, T: np.ndarray):
 
 
 def bp_train(
-    data: TrainingSet,
+    inputs,
+    targets,
     hidden_count: int = 50,
     learning_rate: float = 0.2,
     max_epochs: int = 200,
@@ -168,6 +163,7 @@ def bp_train(
 ) -> BpModel:
     """Full-batch gradient descent on squared error.
 
+    inputs is S x n and targets has length S, as make_training_set gives.
     Weights start uniform in [-0.5, 0.5]; training stops at max_epochs or as
     soon as the epoch's training MSE reaches goal_mse. Sums run over the
     distinct (window, target) rows, each weighted by its share of samples.
@@ -178,21 +174,18 @@ def bp_train(
         raise ValueError(f"learning_rate must be positive, got {learning_rate}")
     if max_epochs < 1:
         raise ValueError(f"max_epochs must be >= 1, got {max_epochs}")
-    if data.n_samples < 1:
-        raise ValueError("training set is empty")
-    if data.targets.shape != (data.n_samples,):
-        raise ValueError("need one target per input row")
-    samples = np.column_stack([data.inputs, data.targets])
+    _check_samples(inputs, targets)
+    samples = np.column_stack([inputs, targets])
     if not np.all(np.isfinite(samples)):
         raise ValueError("non-finite entries in training set")
     rng = make_rng(seed)
-    n = data.window
+    S, n = np.shape(inputs)
     w1 = rng.uniform(-0.5, 0.5, size=(hidden_count, n))
     b1 = rng.uniform(-0.5, 0.5, size=hidden_count)
     w2 = rng.uniform(-0.5, 0.5, size=hidden_count)
     b2 = float(rng.uniform(-0.5, 0.5))
     rows, counts = np.unique(samples, axis=0, return_counts=True)
-    X, T, weights = rows[:, :-1], rows[:, -1], counts / data.n_samples
+    X, T, weights = rows[:, :-1], rows[:, -1], counts / S
     # one forward pass per epoch: the pass after each update gives both the
     # stop check and the next epoch's gradients
     h, y = _bp_forward(w1, b1, w2, b2, X)
@@ -206,16 +199,16 @@ def bp_train(
         if float(np.dot(weights, (y - T) ** 2)) <= goal_mse:
             break
     return BpModel(
-        input_dim=n, w_hidden=w1, b_hidden=b1, w_out=w2, b_out=b2,
-        epochs_run=epochs_run,
+        w_hidden=w1, b_hidden=b1, w_out=w2, b_out=b2, epochs_run=epochs_run
     )
 
 
 def bp_predict_many(model: BpModel, windows: np.ndarray) -> np.ndarray:
     """Raw sigmoid outputs for a batch of windows, one row each."""
     X = np.asarray(windows, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ValueError(f"expected S x {model.input_dim} windows, got {X.shape}")
+    n = model.w_hidden.shape[1]
+    if X.ndim != 2 or X.shape[1] != n:
+        raise ValueError(f"expected S x {n} windows, got {X.shape}")
     _, y = _bp_forward(model.w_hidden, model.b_hidden, model.w_out, model.b_out, X)
     return y
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from crspectrum.channel import ChannelParams, generate_trace
 from crspectrum.config import default_config
-from crspectrum.decision import MdpModel, value_iteration
+from crspectrum.decision import value_iteration
 from crspectrum.fusion import decode_state, encode_state
 from crspectrum.harness import (
     run_scenario,
@@ -20,7 +20,6 @@ from crspectrum.harness import (
     summary_to_json,
 )
 from crspectrum.predictors import (
-    TrainingSet,
     bp_gradients,
     bp_loss,
     bp_predict_many,
@@ -67,13 +66,11 @@ def _fmt(values) -> str:
 def test_criterion_01_elm_exact_fit():
     # as many hidden units as samples: least squares interpolates exactly
     rng = make_rng(101)
-    data = TrainingSet(
-        inputs=rng.random((40, 8)), targets=rng.random(40)
-    )
+    X, T = rng.random((40, 8)), rng.random(40)
     t0 = time.perf_counter()
-    model = elm_train(data, hidden_count=40, seed=7)
+    model = elm_train(X, T, hidden_count=40, seed=7)
     elapsed = time.perf_counter() - t0
-    mse = float(np.mean((elm_predict_many(model, data.inputs) - data.targets) ** 2))
+    mse = float(np.mean((elm_predict_many(model, X) - T) ** 2))
     ok = mse < 1e-10 and elapsed < 1.0
     report(1, "elm exact fit", ok, f"train mse={mse:.2e} time={elapsed:.3f}s")
 
@@ -81,18 +78,18 @@ def test_criterion_01_elm_exact_fit():
 def test_criterion_02_elm_faster_than_bp():
     params = ChannelParams(mean_interarrival=10.0, mean_holding=10.0)
     states = generate_trace(params, 5000, seed=202)
-    data = make_training_set(states, window=10)  # 4990 samples
+    X, T = make_training_set(states, window=10)  # 4990 samples
     t0 = time.perf_counter()
-    elm_train(data, hidden_count=30, seed=1)
+    elm_train(X, T, hidden_count=30, seed=1)
     t_elm = time.perf_counter() - t0
     t0 = time.perf_counter()
-    bp_train(data, hidden_count=50, learning_rate=0.2, max_epochs=200,
+    bp_train(X, T, hidden_count=50, learning_rate=0.2, max_epochs=200,
              goal_mse=1e-4, seed=1)
     t_bp = time.perf_counter() - t0
     ok = t_elm <= t_bp / 5 and (t_elm + t_bp) < 60.0
     report(
         2, "elm vs bp training speed", ok,
-        f"n={data.n_samples} elm={t_elm:.3f}s bp={t_bp:.3f}s ratio={t_bp / t_elm:.1f}x",
+        f"n={len(X)} elm={t_elm:.3f}s bp={t_bp:.3f}s ratio={t_bp / t_elm:.1f}x",
     )
 
 
@@ -102,13 +99,13 @@ def test_criterion_03_prediction_quality():
     for rep in range(10):
         states = generate_trace(params, 10000, seed=303 + rep)
         train = make_training_set(states[:5000], window=10)
-        test = make_training_set(states[5000 - 10:], window=10)  # 5000 targets
-        actual = test.targets.astype(np.int64)
-        elm = elm_train(train, hidden_count=30, seed=rep)
-        bp = bp_train(train, hidden_count=50, learning_rate=0.2,
+        test_x, test_y = make_training_set(states[5000 - 10:], window=10)  # 5000 targets
+        actual = test_y.astype(np.int64)
+        elm = elm_train(*train, hidden_count=30, seed=rep)
+        bp = bp_train(*train, hidden_count=50, learning_rate=0.2,
                       max_epochs=200, goal_mse=1e-4, seed=rep)
-        pred_elm = (elm_predict_many(elm, test.inputs) >= 0.5).astype(np.int64)
-        pred_bp = (bp_predict_many(bp, test.inputs) >= 0.5).astype(np.int64)
+        pred_elm = (elm_predict_many(elm, test_x) >= 0.5).astype(np.int64)
+        pred_bp = (bp_predict_many(bp, test_x) >= 0.5).astype(np.int64)
         accs_elm.append(float(np.mean(pred_elm == actual)))
         accs_bp.append(float(np.mean(pred_bp == actual)))
         frac = transition_error_fraction(pred_elm, actual)
@@ -133,8 +130,7 @@ def test_criterion_04_bp_gradient_check():
         s = int(rng.integers(4, 9))
         X = rng.random((s, n))
         T = rng.random(s)
-        data = TrainingSet(inputs=X, targets=T)
-        model = bp_train(data, hidden_count=hidden, learning_rate=0.1,
+        model = bp_train(X, T, hidden_count=hidden, learning_rate=0.1,
                          max_epochs=1, goal_mse=1e-12, seed=rep)
         analytic = bp_gradients(model, X, T)
         h = 1e-5
@@ -213,10 +209,7 @@ def test_criterion_06_encoding_bijections():
 
 
 def test_criterion_07_value_iteration():
-    model = MdpModel(
-        transition=np.eye(2), reward=np.array([1.0, 0.0]), gamma=0.5
-    )
-    v, policy = value_iteration(model, tol=1e-9)
+    v, policy = value_iteration(np.eye(2), np.array([1.0, 0.0]), 0.5, tol=1e-9)
     exact_ok = bool(np.max(np.abs(v - np.array([2.0, 0.0]))) < 1e-6)
 
     rng = make_rng(707)
@@ -228,8 +221,7 @@ def test_criterion_07_value_iteration():
         trans /= trans.sum(axis=2, keepdims=True)
         rewards = rng.normal(size=(s, a))
         gamma = float(rng.uniform(0.1, 0.9))
-        m = MdpModel(transition=trans, reward=rewards, gamma=gamma)
-        v, _ = value_iteration(m, tol=1e-8)
+        v, _ = value_iteration(trans, rewards, gamma, tol=1e-8)
         backup = (rewards + gamma * (trans @ v)).max(axis=1)
         residual_worst = max(residual_worst, float(np.max(np.abs(backup - v))))
     residual_ok = residual_worst < 1e-6

@@ -5,11 +5,12 @@ from their own module. A module-level function without a leading
 underscore must be used outside the module that defines it: by another
 module of the package, by a demo, by an acceptance criterion or as a
 console script. Neither unit tests nor the function's own module keep a
-name public. Classes may stay public without such a user, as the types
-public functions return. A module-level function with a leading
-underscore must be called or named somewhere under src/ outside its own
-body, so no private helper lives on for tests alone, and the slot engine
-takes no parameter that the access driver does not pass.
+name public. A module-level function with a leading underscore must be
+called or named somewhere under src/ outside its own body, and every
+module-level class must be built somewhere under src/ outside its own
+body, so no private helper or argument bag lives on for callers outside
+the package. The slot engine takes no parameter that the access driver
+does not pass.
 """
 
 import ast
@@ -101,6 +102,28 @@ def test_every_private_function_is_used_in_src():
         and fn.name not in _names(node for node in statements if node is not fn)
     ]
     assert unused == []
+
+
+def test_every_class_is_built_in_src():
+    statements = [
+        node for path in sorted(PACKAGE.glob("*.py")) for node in _parse(path).body
+    ]
+    called = {
+        node: {
+            call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, (ast.Name, ast.Attribute))
+        }
+        for node in statements
+    }
+    unbuilt = [
+        cls.name
+        for cls in statements
+        if isinstance(cls, ast.ClassDef)
+        and not any(cls.name in names for node, names in called.items() if node is not cls)
+    ]
+    assert unbuilt == []
 
 
 def test_engine_takes_only_what_the_driver_passes():

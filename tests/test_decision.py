@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crspectrum.decision import (
-    MdpModel,
     arbitrate,
     new_decision_table,
     q_update,
@@ -111,18 +110,12 @@ class TestQUpdate:
 
 class TestValueIteration:
     def test_two_state_identity(self):
-        model = MdpModel(
-            transition=np.eye(2),
-            reward=np.array([1.0, 0.0]),
-            gamma=0.5,
-        )
-        V, policy = value_iteration(model, tol=1e-9)
+        V, policy = value_iteration(np.eye(2), np.array([1.0, 0.0]), 0.5, tol=1e-9)
         np.testing.assert_allclose(V, [2.0, 0.0], atol=1e-6)
 
     def test_gamma_zero_is_max_reward(self):
         R = np.array([[1.0, 5.0], [2.0, 0.0]])
-        model = MdpModel(transition=np.eye(2), reward=R, gamma=0.0)
-        V, policy = value_iteration(model)
+        V, policy = value_iteration(np.eye(2), R, 0.0)
         np.testing.assert_allclose(V, [5.0, 2.0])
         np.testing.assert_array_equal(policy, [1, 0])
 
@@ -137,8 +130,7 @@ class TestValueIteration:
             R = rng.normal(size=(S, A))
             gamma = float(rng.uniform(0.0, 0.95))
             tol = 1e-8
-            model = MdpModel(transition=P, reward=R, gamma=gamma)
-            V, policy = value_iteration(model, tol=tol)
+            V, policy = value_iteration(P, R, gamma, tol=tol)
             Q = R + gamma * (P @ V)
             residual = np.max(np.abs(Q.max(axis=1) - V))
             assert residual < tol / (1.0 - gamma)
@@ -162,9 +154,8 @@ class TestValueIteration:
             V = V_new
 
     def test_bad_gamma(self):
-        model = MdpModel(transition=np.eye(2), reward=np.zeros(2), gamma=1.0)
         with pytest.raises(ValueError):
-            value_iteration(model)
+            value_iteration(np.eye(2), np.zeros(2), 1.0)
 
 
 _N_SU = 31

@@ -646,8 +646,7 @@ def advisory_cases(draw):
     models = []
     for c in range(m_ch):
         if n_slots > w and draw(st.booleans()):
-            data = make_training_set(pu[c], w)
-            models.append(elm_train(data, 6, seed + c))
+            models.append(elm_train(*make_training_set(pu[c], w), 6, seed + c))
         else:
             models.append(None)
     cfg = replace(
@@ -668,7 +667,7 @@ class TestAdvisoryBits:
         w, n_slots = 70, 200
         pu = (np.random.default_rng(5).random((2, n_slots)) < 0.5).astype(np.uint8)
         pu[:, 100:164] = pu[:, 30:94]
-        models = [elm_train(make_training_set(pu[0], w), 6, 5), None]
+        models = [elm_train(*make_training_set(pu[0], w), 6, 5), None]
         cfg = replace(default_config("decision-1"), window=w)
         self._check(cfg, pu, models)
 
@@ -708,7 +707,7 @@ class TestThresholdBoundary:
     def test_bit_a_reads_busy_at_lam(self):
         w, n_slots = 4, 50
         pu = (np.random.default_rng(8).random((2, n_slots)) < 0.5).astype(np.int64)
-        models = [elm_train(make_training_set(pu[0], w), 6, 8), None]
+        models = [elm_train(*make_training_set(pu[0], w), 6, 8), None]
         cfg = replace(default_config("decision-1"), window=w, lam=0.3)
         with mock.patch.object(harness, "elm_predict_many", self._constant(cfg.lam)):
             bits = _advisory_bits(cfg, pu, models)

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 from crspectrum.channel import ChannelParams, generate_trace
 from crspectrum.predictors import (
     BpModel,
-    TrainingSet,
     _pinv_solve,
     _sigmoid,
     bp_gradients,
@@ -31,15 +30,15 @@ from crspectrum.seeding import make_rng
 
 class TestMakeTrainingSet:
     def test_sliding_window(self):
-        data = make_training_set(np.array([0, 1, 0, 1]), 2)
-        np.testing.assert_array_equal(data.inputs, [[0, 1], [1, 0]])
-        np.testing.assert_array_equal(data.targets, [0, 1])
+        inputs, targets = make_training_set(np.array([0, 1, 0, 1]), 2)
+        np.testing.assert_array_equal(inputs, [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(targets, [0, 1])
 
     def test_sample_count(self):
         tr = generate_trace(ChannelParams(10.0, 10.0), 10000, seed=0)
-        data = make_training_set(tr, 10)
-        assert data.n_samples == 9990
-        assert data.window == 10
+        inputs, targets = make_training_set(tr, 10)
+        assert inputs.shape == (9990, 10)
+        assert targets.shape == (9990,)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -85,8 +84,8 @@ class TestElm:
     def test_determinism(self):
         tr = generate_trace(ChannelParams(10.0, 10.0), 500, seed=1)
         data = make_training_set(tr, 10)
-        a = elm_train(data, 30, seed=42)
-        b = elm_train(data, 30, seed=42)
+        a = elm_train(*data, 30, seed=42)
+        b = elm_train(*data, 30, seed=42)
         np.testing.assert_array_equal(a.input_weights, b.input_weights)
         np.testing.assert_array_equal(a.biases, b.biases)
         np.testing.assert_allclose(a.output_weights, b.output_weights, atol=1e-12)
@@ -95,30 +94,26 @@ class TestElm:
         # square full-rank hidden matrix: training error vanishes
         rng = np.random.default_rng(3)
         S = 100
-        data = TrainingSet(
-            inputs=rng.uniform(0, 1, size=(S, 10)),
-            targets=rng.uniform(0, 1, size=S),
-        )
-        model = elm_train(data, hidden_count=S, seed=5)
-        raw = elm_predict_many(model, data.inputs)
-        assert np.mean((raw - data.targets) ** 2) < 1e-10
+        X = rng.uniform(0, 1, size=(S, 10))
+        T = rng.uniform(0, 1, size=S)
+        model = elm_train(X, T, hidden_count=S, seed=5)
+        raw = elm_predict_many(model, X)
+        assert np.mean((raw - T) ** 2) < 1e-10
         for i in range(0, S, 17):
-            one = elm_predict_many(model, data.inputs[i: i + 1])
+            one = elm_predict_many(model, X[i: i + 1])
             assert one.shape == (1,)
-            assert abs(one[0] - data.targets[i]) < 1e-6
+            assert abs(one[0] - T[i]) < 1e-6
 
     def test_init_range(self):
         tr = generate_trace(ChannelParams(10.0, 10.0), 500, seed=2)
-        model = elm_train(make_training_set(tr, 10), 30, seed=9)
+        model = elm_train(*make_training_set(tr, 10), 30, seed=9)
         assert model.input_weights.shape == (30, 10)
         assert np.all(np.abs(model.input_weights) <= 1.0)
         assert np.all(np.abs(model.biases) <= 1.0)
 
     def test_zero_beta_predicts_zero(self):
         model = elm_train(
-            TrainingSet(inputs=np.array([[0.0, 1.0]]), targets=np.array([0.0])),
-            hidden_count=3,
-            seed=0,
+            np.array([[0.0, 1.0]]), np.array([0.0]), hidden_count=3, seed=0
         )
         model.output_weights = np.zeros(3)
         assert elm_predict_many(model, [[1, 0]]).tolist() == [0.0]
@@ -127,7 +122,6 @@ class TestElm:
         from crspectrum.predictors import ElmModel
 
         model = ElmModel(
-            input_dim=2,
             input_weights=np.zeros((1, 2)),
             biases=np.array([np.pi / 2]),
             output_weights=np.array([1.0]),
@@ -136,7 +130,7 @@ class TestElm:
 
     def test_dimension_mismatch(self):
         tr = generate_trace(ChannelParams(10.0, 10.0), 500, seed=2)
-        model = elm_train(make_training_set(tr, 10), 30, seed=9)
+        model = elm_train(*make_training_set(tr, 10), 30, seed=9)
         with pytest.raises(ValueError):
             elm_predict_many(model, [[0, 1, 0]])
         with pytest.raises(ValueError):
@@ -171,7 +165,6 @@ def _fd_gradients(model, X, T, h=1e-6):
 
 def _random_bp(rng, n, L):
     return BpModel(
-        input_dim=n,
         w_hidden=rng.uniform(-0.5, 0.5, size=(L, n)),
         b_hidden=rng.uniform(-0.5, 0.5, size=L),
         w_out=rng.uniform(-0.5, 0.5, size=L),
@@ -200,13 +193,10 @@ class TestBp:
 
     def test_constant_target_reaches_goal(self):
         rng = np.random.default_rng(1)
-        data = TrainingSet(
-            inputs=rng.integers(0, 2, size=(40, 5)).astype(float),
-            targets=np.zeros(40),
-        )
-        model = bp_train(data, hidden_count=50, max_epochs=2000, seed=3)
+        X = rng.integers(0, 2, size=(40, 5)).astype(float)
+        model = bp_train(X, np.zeros(40), hidden_count=50, max_epochs=2000, seed=3)
         assert model.epochs_run < 2000  # goal-triggered early stop
-        y = bp_predict_many(model, data.inputs)
+        y = bp_predict_many(model, X)
         assert np.mean(y**2) <= 1e-4
 
     def test_zero_weight_net_outputs_sigmoid_bias(self):
@@ -227,17 +217,17 @@ class TestBp:
     def test_learns_alternating_trace(self):
         # strict alternation is linearly separable from the last bit
         states = np.tile([0, 1], 200)
-        data = make_training_set(states, 4)
-        model = bp_train(data, hidden_count=10, max_epochs=200, seed=2)
-        raw = bp_predict_many(model, data.inputs)
-        acc = np.mean((raw >= 0.5).astype(int) == data.targets)
+        X, T = make_training_set(states, 4)
+        model = bp_train(X, T, hidden_count=10, max_epochs=200, seed=2)
+        raw = bp_predict_many(model, X)
+        acc = np.mean((raw >= 0.5).astype(int) == T)
         assert acc > 0.5
 
     def test_determinism(self):
         tr = generate_trace(ChannelParams(10.0, 10.0), 300, seed=4)
         data = make_training_set(tr, 10)
-        a = bp_train(data, hidden_count=8, max_epochs=20, seed=7)
-        b = bp_train(data, hidden_count=8, max_epochs=20, seed=7)
+        a = bp_train(*data, hidden_count=8, max_epochs=20, seed=7)
+        b = bp_train(*data, hidden_count=8, max_epochs=20, seed=7)
         np.testing.assert_array_equal(a.w_hidden, b.w_hidden)
         assert a.b_out == b.b_out
 
@@ -253,7 +243,7 @@ def _sigmoid_reference(z):
 
 
 def _bp_train_reference(
-    data, hidden_count, learning_rate, max_epochs, goal_mse, seed, distinct=True
+    inputs, targets, hidden_count, learning_rate, max_epochs, goal_mse, seed, distinct=True
 ):
     """Two forward passes per epoch (gradients, then the stop check).
 
@@ -267,20 +257,19 @@ def _bp_train_reference(
         return h, _sigmoid_reference(h @ w2 + b2)
 
     rng = make_rng(seed)
-    n = data.window
+    S, n = inputs.shape
     w1 = rng.uniform(-0.5, 0.5, size=(hidden_count, n))
     b1 = rng.uniform(-0.5, 0.5, size=hidden_count)
     w2 = rng.uniform(-0.5, 0.5, size=hidden_count)
     b2 = float(rng.uniform(-0.5, 0.5))
-    S = data.n_samples
     if distinct:
         rows, counts = np.unique(
-            np.column_stack([data.inputs, data.targets]), axis=0, return_counts=True
+            np.column_stack([inputs, targets]), axis=0, return_counts=True
         )
         X, T, weights = rows[:, :-1], rows[:, -1], counts / S
         scale = 2.0 * weights
     else:
-        X, T = data.inputs, data.targets
+        X, T = inputs, targets
         scale = 2.0 / S
     epochs_run = 0
     for _ in range(max_epochs):
@@ -340,11 +329,11 @@ class TestBpBitExact:
         tr = generate_trace(ChannelParams(10.0, 10.0), 1000, seed=5)
         data = make_training_set(tr, 10)
         model = bp_train(
-            data, hidden_count=50, learning_rate=0.2, max_epochs=max_epochs,
+            *data, hidden_count=50, learning_rate=0.2, max_epochs=max_epochs,
             goal_mse=goal_mse, seed=5,
         )
         w1, b1, w2, b2, epochs_run = _bp_train_reference(
-            data, 50, 0.2, max_epochs, goal_mse, 5
+            *data, 50, 0.2, max_epochs, goal_mse, 5
         )
         assert model.epochs_run == epochs_run == expect_epochs
         np.testing.assert_array_equal(_bits(model.w_hidden), _bits(w1))
@@ -356,17 +345,16 @@ class TestBpBitExact:
 class TestBpDistinctRowsMatchFullBatch:
     """Summing over distinct rows moves outputs by rounding only."""
 
-    def _assert_close(self, data, **kw):
-        model = bp_train(data, **kw)
+    def _assert_close(self, X, T, **kw):
+        model = bp_train(X, T, **kw)
         w1, b1, w2, b2, epochs_run = _bp_train_reference(
-            data, kw["hidden_count"], kw["learning_rate"], kw["max_epochs"],
+            X, T, kw["hidden_count"], kw["learning_rate"], kw["max_epochs"],
             kw["goal_mse"], kw["seed"], distinct=False,
         )
         assert model.epochs_run == epochs_run
-        old = BpModel(input_dim=data.window, w_hidden=w1, b_hidden=b1,
-                      w_out=w2, b_out=b2)
+        old = BpModel(w_hidden=w1, b_hidden=b1, w_out=w2, b_out=b2)
         np.testing.assert_allclose(
-            bp_predict_many(model, data.inputs), bp_predict_many(old, data.inputs),
+            bp_predict_many(model, X), bp_predict_many(old, X),
             rtol=0, atol=1e-12,
         )
         return model
@@ -377,10 +365,10 @@ class TestBpDistinctRowsMatchFullBatch:
     )
     def test_duplicate_heavy_trace(self, goal_mse, stops_early):
         tr = generate_trace(ChannelParams(10.0, 10.0), 1500, seed=8)
-        data = make_training_set(tr, 6)
-        assert len(np.unique(data.inputs, axis=0)) <= 64 < data.n_samples
+        X, T = make_training_set(tr, 6)
+        assert len(np.unique(X, axis=0)) <= 64 < len(X)
         model = self._assert_close(
-            data, hidden_count=50, learning_rate=0.2, max_epochs=200,
+            X, T, hidden_count=50, learning_rate=0.2, max_epochs=200,
             goal_mse=goal_mse, seed=8,
         )
         assert (model.epochs_run < 200) == stops_early
@@ -391,9 +379,9 @@ class TestBpDistinctRowsMatchFullBatch:
         for rep in range(20):
             n = int(rng.integers(2, 6))
             s = int(rng.integers(4, 9))
-            data = TrainingSet(inputs=rng.random((s, n)), targets=rng.random(s))
+            X, T = rng.random((s, n)), rng.random(s)
             self._assert_close(
-                data, hidden_count=int(rng.integers(2, 7)), learning_rate=0.1,
+                X, T, hidden_count=int(rng.integers(2, 7)), learning_rate=0.1,
                 max_epochs=50, goal_mse=1e-12, seed=rep,
             )
 
@@ -407,20 +395,42 @@ class TestBpRejectsBadData:
         X, T = self._data()
         X[4, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            bp_train(TrainingSet(inputs=X, targets=T), hidden_count=4)
+            bp_train(X, T, hidden_count=4)
 
     def test_infinite_target(self):
         X, T = self._data()
         T[0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            bp_train(TrainingSet(inputs=X, targets=T), hidden_count=4)
+            bp_train(X, T, hidden_count=4)
 
     @pytest.mark.parametrize("n_targets", [11, 13])
     def test_target_count_mismatch(self, n_targets):
         X, _ = self._data()
-        data = TrainingSet(inputs=X, targets=np.zeros(n_targets))
         with pytest.raises(ValueError, match="one target per input row"):
-            bp_train(data, hidden_count=4)
+            bp_train(X, np.zeros(n_targets), hidden_count=4)
+
+
+@pytest.mark.parametrize(
+    "train",
+    [
+        lambda X, T: elm_train(X, T, hidden_count=4, seed=0),
+        lambda X, T: bp_train(X, T, hidden_count=4),
+    ],
+    ids=["elm_train", "bp_train"],
+)
+@pytest.mark.parametrize(
+    "X, T, message",
+    [
+        (np.zeros(12), np.zeros(12), "S x n"),
+        (np.zeros((0, 3)), np.zeros(0), "nonempty"),
+        (np.zeros((12, 3)), np.zeros(11), "one target per input row"),
+        (np.zeros((12, 3)), np.zeros((12, 1)), "one target per input row"),
+    ],
+    ids=["1-d-inputs", "no-rows", "short-targets", "column-targets"],
+)
+def test_trainers_reject_malformed_arrays(train, X, T, message):
+    with pytest.raises(ValueError, match=message):
+        train(X, T)
 
 
 class TestBpLeavesInputsAlone:
@@ -613,7 +623,7 @@ class TestHmmMatchesNumpyViterbi:
     def test_fitted_model_on_trace_windows(self):
         tr = generate_trace(ChannelParams(7.0, 3.0), 3000, seed=12)
         model = hmm_fit(tr)
-        windows = make_training_set(tr, 10).inputs.astype(np.int64)
+        windows = make_training_set(tr, 10)[0].astype(np.int64)
         assert hmm_predict(model, windows).tolist() == [
             _hmm_predict_reference(model, w) for w in windows
         ]
