@@ -23,13 +23,13 @@ MAX_STATE_BITS = 20
 
 
 def _bit_array(bits) -> np.ndarray:
-    """bits as int64, checked to be a nonempty 1-d or 2-d array of 0/1."""
-    bits = np.asarray(bits, dtype=np.int64)
+    """bits as int64, checked as given to be a nonempty 1-d or 2-d array of 0/1."""
+    bits = np.asarray(bits)
     if bits.ndim not in (1, 2) or bits.size == 0:
         raise ValueError("need a nonempty 1-d or 2-d bit array")
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0 or 1")
-    return bits
+    return bits.astype(np.int64, copy=False)
 
 
 def encode_state(bits):
@@ -70,7 +70,7 @@ def train_fusion(
     1/visit-count, which settles the greedy policy on the empirically best
     action per state.
     """
-    local_bits = np.asarray(local_bits, dtype=np.int64)
+    local_bits = np.asarray(local_bits)
     actual = np.asarray(actual, dtype=np.int64).tolist()
     if local_bits.ndim != 2 or local_bits.shape[0] != len(actual):
         raise ValueError("local_bits must be T x N aligned with actual")
@@ -93,16 +93,15 @@ def train_fusion(
     half = (T - 1) / 2.0
     for t in range(T - 1):
         s = base[t]
-        eps_t = epsilon * max(0.0, 1.0 - t / half)
+        eps_t = epsilon * (1.0 - t / half) if t < half else 0.0
         if eps_t > 0 and rng.random() < eps_t:
             action = int(rng.integers(0, 2))
         else:
             action = 1 if q[s + 1] > q[s] else 0
         i = s + action
         visits[i] += 1
-        r = r_p if action == actual[t] else r_n
-        nxt = base[t + 1]
-        target = r + gamma * max(q[nxt], q[nxt + 1])
+        a, b = q[base[t + 1]], q[base[t + 1] + 1]
+        target = (r_p if action == actual[t] else r_n) + gamma * (b if b > a else a)
         q[i] += (1.0 / visits[i]) * (target - q[i])
     return np.array(q).reshape(-1, 2)
 

@@ -41,6 +41,29 @@ def make_training_set(states, window: int):
     return inputs, targets
 
 
+def _distinct_rows(a: np.ndarray):
+    """np.unique(a, axis=0, return_inverse=True, return_counts=True) by one lexsort.
+
+    A group holding both -0.0 and 0.0 keeps its first row, where np.unique keeps
+    either; make_training_set never gives -0.0.
+    """
+    order = np.lexsort(a.T[::-1])
+    ranked = a[order]
+    starts = np.append(True, np.any(ranked[1:] != ranked[:-1], axis=1))
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ranked[starts], inverse, np.diff(np.append(np.flatnonzero(starts), len(a)))
+
+
+def _whole_numbers(values) -> np.ndarray:
+    """values as int64, refusing any that the cast would silently truncate."""
+    a = np.asarray(values)
+    ints = a.astype(np.int64, copy=False)
+    if a.dtype.kind not in "biu" and np.any(ints != a):
+        raise ValueError("expected whole numbers, got a fractional or non-finite value")
+    return ints
+
+
 def _pinv_solve(H: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution of H beta = T.
 
@@ -84,7 +107,9 @@ def elm_train(inputs, targets, hidden_count: int, seed: int) -> ElmModel:
     rng = make_rng(seed)
     W = rng.uniform(-1.0, 1.0, size=(hidden_count, np.shape(inputs)[1]))
     b = rng.uniform(-1.0, 1.0, size=hidden_count)
-    H = np.sin(inputs @ W.T + b)
+    H = inputs @ W.T
+    H += b
+    np.sin(H, out=H)
     beta = _pinv_solve(H, targets)
     return ElmModel(input_weights=W, biases=b, output_weights=beta)
 
@@ -95,7 +120,9 @@ def elm_predict_many(model: ElmModel, windows: np.ndarray) -> np.ndarray:
     n = model.input_weights.shape[1]
     if X.ndim != 2 or X.shape[1] != n:
         raise ValueError(f"expected S x {n} windows, got {X.shape}")
-    H = np.sin(X @ model.input_weights.T + model.biases)
+    H = X @ model.input_weights.T
+    H += model.biases
+    np.sin(H, out=H)
     return H @ model.output_weights
 
 
@@ -184,7 +211,7 @@ def bp_train(
     b1 = rng.uniform(-0.5, 0.5, size=hidden_count)
     w2 = rng.uniform(-0.5, 0.5, size=hidden_count)
     b2 = float(rng.uniform(-0.5, 0.5))
-    rows, counts = np.unique(samples, axis=0, return_counts=True)
+    rows, _, counts = _distinct_rows(samples)
     X, T, weights = rows[:, :-1], rows[:, -1], counts / S
     # one forward pass per epoch: the pass after each update gives both the
     # stop check and the next epoch's gradients
@@ -233,7 +260,7 @@ def hmm_fit(states) -> HmmModel:
     are near-identity, so decoding tracks the observations and the model's
     information lives in the transition matrix.
     """
-    states = np.asarray(states).astype(np.int64)
+    states = _whole_numbers(states)
     if len(states) < 2:
         raise ValueError(f"need at least 2 slots to fit, got {len(states)}")
     if states.min() < 0 or states.max() >= _HMM_STATES:
@@ -251,11 +278,11 @@ def hmm_fit(states) -> HmmModel:
 def hmm_predict(model: HmmModel, observations):
     """Most likely next state after Viterbi-decoding each row of S x n windows.
 
-    Returns one int64 per row. The log-domain delta recursion runs over all
-    windows at once; the decoded final state's transition row gives the
-    prediction, first maximum on ties.
+    Returns one int64 per row. The log-domain delta recursion runs over the
+    distinct windows at once, each decoded once; the decoded final state's
+    transition row gives the prediction, first maximum on ties.
     """
-    windows = np.asarray(observations, dtype=np.int64)
+    windows = _whole_numbers(observations)
     if windows.ndim != 2 or windows.size == 0:
         raise ValueError("observations must be a nonempty S x n array")
     if windows.min() < 0 or windows.max() >= model.B.shape[1]:
@@ -263,10 +290,11 @@ def hmm_predict(model: HmmModel, observations):
     with np.errstate(divide="ignore"):
         log_pi, log_A = np.log(model.pi), np.log(model.A)
         log_B_obs = np.log(model.B).T  # row o: log P(o | state)
-    delta = log_pi + log_B_obs[windows[:, 0]]
-    for t in range(1, windows.shape[1]):
-        delta = (delta[:, :, None] + log_A).max(axis=1) + log_B_obs[windows[:, t]]
-    return np.argmax(model.A, axis=1)[np.argmax(delta, axis=1)]
+    rows, inverse, _ = _distinct_rows(windows)
+    delta = log_pi + log_B_obs[rows[:, 0]]
+    for t in range(1, rows.shape[1]):
+        delta = (delta[:, :, None] + log_A).max(axis=1) + log_B_obs[rows[:, t]]
+    return np.argmax(model.A, axis=1)[np.argmax(delta, axis=1)][inverse]
 
 
 def eval_prediction(
@@ -280,8 +308,8 @@ def eval_prediction(
     whose denominator is empty is None, never zero, and mse is None unless
     raw predictions are given.
     """
-    pred = np.asarray(predicted, dtype=np.int64)
-    act = np.asarray(actual, dtype=np.int64)
+    pred = _whole_numbers(predicted)
+    act = _whole_numbers(actual)
     if pred.shape != act.shape or pred.ndim != 1 or len(pred) == 0:
         raise ValueError("predicted and actual must be equal-length nonempty vectors")
     tp = int(np.sum((pred == 1) & (act == 1)))
@@ -313,16 +341,14 @@ def transition_error_fraction(predicted, actual) -> Optional[float]:
     an error at slot e counts as near if its distance to either end of some
     boundary is at most 1. None when there are no errors.
     """
-    pred = np.asarray(predicted, dtype=np.int64)
-    act = np.asarray(actual, dtype=np.int64)
+    pred = _whole_numbers(predicted)
+    act = _whole_numbers(actual)
     errors = np.flatnonzero(pred != act)
     if len(errors) == 0:
         return None
-    change = np.flatnonzero(np.diff(act) != 0) + 1  # slots t with act[t] != act[t-1]
-    if len(change) == 0:
-        return 0.0
-    near = np.zeros(len(act), dtype=bool)
-    for t in change:
-        near[max(0, t - 2):min(len(act), t + 2)] = True
-    return float(np.mean(near[errors]))
+    # slots t with act[t] != act[t-1], then a sentinel beyond every error's reach
+    change = np.append(np.flatnonzero(np.diff(act) != 0) + 1, len(act) + 3)
+    # error e is near when the first change t >= e - 1 has t <= e + 2
+    first = change[np.searchsorted(change, errors - 1)]
+    return float(np.mean(first <= errors + 2))
 

@@ -47,6 +47,25 @@ class TestEncodeState:
         with pytest.raises(ValueError):
             encode_state([[0, 1], [1, 2]])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: encode_state([0.9, 1.0]),
+            lambda: encode_state(np.array([[0.0, 1.0], [1.0, 0.5]])),
+            lambda: m_out_of_n([0.5, 1, 1], 2),
+            lambda: train_fusion(np.array([[0.0], [0.9], [1.0]]), [0, 1, 1], seed=0),
+        ],
+        ids=["encode-1d", "encode-2d", "m_out_of_n", "train_fusion"],
+    )
+    def test_rejects_fractional_bits(self, call):
+        with pytest.raises(ValueError, match="0 or 1"):
+            call()
+
+    def test_reads_whole_float_and_bool_bits(self):
+        assert encode_state([1.0, 0.0, 1.0]) == 5
+        assert encode_state(np.array([True, True])) == 3
+        assert encode_state(np.array([[1, 0], [0, 1]], dtype=np.uint8)).tolist() == [1, 2]
+
     def test_rows_of_a_2d_array(self):
         rng = np.random.default_rng(3)
         for n in (1, 2, 7, 20):
@@ -281,6 +300,16 @@ class TestTrainFusion:
         kw = dict(gamma=gamma, r_p=1.0, r_n=0.0, epsilon=epsilon)
         got = train_fusion(bits, states, 44, **kw)
         want = _reference_train_fusion(bits, states, 44, **kw)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("T", [2, 3, 1501])
+    def test_odd_length_full_exploration_matches_inline_loop(self, T):
+        # exploration ends exactly at slot (T - 1) / 2 when T is odd
+        states = generate_trace(ChannelParams(6.0, 4.0), T, seed=45)
+        bits = noisy_local_predictions(states, [0.1, 0.3, 0.2], seed=46)
+        kw = dict(gamma=0.7, r_p=2.0, r_n=-0.5, epsilon=1.0)
+        got = train_fusion(bits, states, 47, **kw)
+        want = _reference_train_fusion(bits, states, 47, **kw)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_visit_count_learning_rates(self):

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from crspectrum.channel import ChannelParams, generate_trace
 from crspectrum.predictors import (
     BpModel,
+    _distinct_rows,
     _pinv_solve,
     _sigmoid,
     bp_gradients,
@@ -135,6 +136,16 @@ class TestElm:
             elm_predict_many(model, [[0, 1, 0]])
         with pytest.raises(ValueError):
             elm_predict_many(model, np.zeros(10))  # one window needs a 1 x n row
+
+    def test_training_and_prediction_leave_inputs_alone(self):
+        # both build their sine features in place, in a fresh product
+        tr = generate_trace(ChannelParams(10.0, 10.0), 500, seed=2)
+        X, T = make_training_set(tr, 10)
+        X_before, T_before = X.copy(), T.copy()
+        model = elm_train(X, T, 30, seed=9)
+        elm_predict_many(model, X)
+        np.testing.assert_array_equal(_bits(X), _bits(X_before))
+        np.testing.assert_array_equal(_bits(T), _bits(T_before))
 
 
 def _fd_gradients(model, X, T, h=1e-6):
@@ -294,6 +305,41 @@ def _bp_train_reference(
 
 def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _row_arrays():
+    shapes = st.tuples(st.integers(1, 60), st.integers(1, 6))
+    zero_one = st.integers(0, 1)
+    small = st.sampled_from([-1.5, -1.0, 0.0, 0.25, 0.5, 1.0, 2.0])
+    return st.one_of(
+        hnp.arrays(np.int64, shapes, elements=zero_one),
+        hnp.arrays(np.float64, shapes, elements=zero_one.map(float)),
+        hnp.arrays(np.float64, shapes, elements=small),
+    )
+
+
+class TestDistinctRows:
+    @settings(max_examples=300, deadline=None)
+    @given(_row_arrays())
+    def test_matches_numpy_unique(self, a):
+        rows, inverse, counts = _distinct_rows(a)
+        want_rows, want_inverse, want_counts = np.unique(
+            a, axis=0, return_inverse=True, return_counts=True
+        )
+        assert rows.dtype == a.dtype
+        np.testing.assert_array_equal(_bits(rows), _bits(want_rows))
+        assert inverse.tolist() == want_inverse.ravel().tolist()
+        assert counts.tolist() == want_counts.tolist()
+        np.testing.assert_array_equal(_bits(rows[inverse]), _bits(a))
+
+    def test_training_windows_of_a_trace(self):
+        tr = generate_trace(ChannelParams(10.0, 10.0), 5000, seed=7)
+        samples = np.column_stack(make_training_set(tr, 10))
+        rows, inverse, counts = _distinct_rows(samples)
+        want_rows, want_counts = np.unique(samples, axis=0, return_counts=True)
+        np.testing.assert_array_equal(_bits(rows), _bits(want_rows))
+        np.testing.assert_array_equal(counts, want_counts)
+        np.testing.assert_array_equal(rows[inverse], samples)
 
 
 class TestBpBitExact:
@@ -620,6 +666,18 @@ class TestHmmMatchesNumpyViterbi:
         assert pred.tolist() == [_hmm_predict_plain_float(model, w) for w in windows]
         assert pred.tolist() == [hmm_predict(model, w[None])[0] for w in windows]
 
+    def test_shuffled_duplicate_heavy_batch(self):
+        # each distinct window is decoded once and its result gathered back
+        # to every row that holds it
+        tr = generate_trace(ChannelParams(7.0, 3.0), 3000, seed=13)
+        model = hmm_fit(tr)
+        windows = make_training_set(tr, 6)[0].astype(np.int64)
+        windows = windows[make_rng(14).permutation(len(windows))]
+        assert len(np.unique(windows, axis=0)) <= 64 < len(windows)
+        assert hmm_predict(model, windows).tolist() == [
+            _hmm_predict_reference(model, w) for w in windows
+        ]
+
     def test_fitted_model_on_trace_windows(self):
         tr = generate_trace(ChannelParams(7.0, 3.0), 3000, seed=12)
         model = hmm_fit(tr)
@@ -689,3 +747,71 @@ class TestTransitionErrorFraction:
         actual = [0, 0, 0, 0, 0, 0, 0, 1]
         pred = [1, 0, 0, 0, 0, 0, 0, 1]  # error 6 slots before the flip
         assert transition_error_fraction(pred, actual) == 0.0
+
+    @pytest.mark.parametrize(
+        "actual, pred",
+        [
+            ([0, 1, 1, 1, 1, 1], [1, 0, 0, 1, 0, 1]),  # change at slot 1
+            ([0, 0, 0, 0, 0, 1], [1, 0, 1, 1, 0, 0]),  # change at slot T-1
+            ([1, 1, 1, 1, 1, 1], [0, 1, 1, 1, 1, 0]),  # no change, edge errors
+            ([0, 1], [1, 0]),
+            ([1], [0]),
+        ],
+        ids=["change-at-1", "change-at-T-1", "no-change", "two-slots", "one-slot"],
+    )
+    def test_edges_match_slice_loop(self, actual, pred):
+        got = transition_error_fraction(pred, actual)
+        assert got == _transition_error_fraction_reference(pred, actual)
+
+    def test_random_traces_match_slice_loop(self):
+        rng = make_rng(61)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            actual = generate_trace(ChannelParams(3.0, 2.0), n, seed=int(rng.integers(1 << 30)))
+            pred = np.where(rng.random(n) < 0.3, 1 - actual, actual)
+            got = transition_error_fraction(pred, actual)
+            assert got == _transition_error_fraction_reference(pred, actual)
+
+
+def _transition_error_fraction_reference(predicted, actual):
+    # the loop of slices the library used before one search over the changes
+    pred = np.asarray(predicted, dtype=np.int64)
+    act = np.asarray(actual, dtype=np.int64)
+    errors = np.flatnonzero(pred != act)
+    if len(errors) == 0:
+        return None
+    change = np.flatnonzero(np.diff(act) != 0) + 1
+    if len(change) == 0:
+        return 0.0
+    near = np.zeros(len(act), dtype=bool)
+    for t in change:
+        near[max(0, t - 2):min(len(act), t + 2)] = True
+    return float(np.mean(near[errors]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hmm_predict(hmm_fit(np.tile([0, 1], 50)), [[0.5, 1.0]]),
+        lambda: hmm_fit([0.0, 1.0, 0.5]),
+        lambda: eval_prediction([0.7], [1]),
+        lambda: eval_prediction([1], [0.7]),
+        lambda: transition_error_fraction([0.4, 1.0], [0, 1]),
+        pytest.param(
+            lambda: transition_error_fraction([0, 1], [np.nan, 1.0]),
+            marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning"),
+        ),
+    ],
+    ids=["hmm_predict", "hmm_fit", "eval-predicted", "eval-actual",
+         "transition-predicted", "transition-nan"],
+)
+def test_fractional_states_are_refused(call):
+    with pytest.raises(ValueError, match="whole numbers"):
+        call()
+
+
+def test_whole_floats_read_as_their_integers():
+    model = hmm_fit(np.tile([0, 1], 50))
+    assert hmm_predict(model, [[0.0, 1.0]]).tolist() == hmm_predict(model, [[0, 1]]).tolist()
+    assert eval_prediction([1.0, 0.0], [1, 1]) == eval_prediction([1, 0], [1, 1])
+    assert transition_error_fraction([1.0, 0.0], [0.0, 0.0]) == 0.0
