@@ -71,9 +71,10 @@ def train_fusion(
     action per state.
     """
     local_bits = np.asarray(local_bits)
-    actual = np.asarray(actual, dtype=np.int64).tolist()
-    if local_bits.ndim != 2 or local_bits.shape[0] != len(actual):
-        raise ValueError("local_bits must be T x N aligned with actual")
+    actual = _bit_array(actual)
+    if local_bits.ndim != 2 or actual.ndim != 1 or local_bits.shape[0] != len(actual):
+        raise ValueError("local_bits must be T x N aligned with a 1-d actual")
+    actual = actual.tolist()
     T, n_users = local_bits.shape
     if T < 2:
         raise ValueError("need at least 2 slots to train")

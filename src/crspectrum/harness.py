@@ -39,6 +39,7 @@ from .fusion import (
     train_fusion,
 )
 from .predictors import (
+    _distinct_rows,
     bp_predict_many,
     bp_train,
     elm_predict_many,
@@ -331,7 +332,7 @@ def _simulate_access(
     n_collision = d_success = 0
     events = [] if collect_events else None
     half_horizon = max(1, n_slots // 2)
-    listing_key = None  # t, or (t, su) with weights, of the last listing
+    shared_at = None  # slot of the last shared listing
     if cfg.burst_requests:
         # every user requests every t slots, nobody in between
         everyone = list(range(n_su))
@@ -418,21 +419,21 @@ def _simulate_access(
             if rewarded or (method == "cf" and not warmup):
                 # su's listing, for bit B and cf only, so requests that get no
                 # channel are never scored. The matrix changes only in the
-                # resolve step, so without weights one listing serves the slot.
-                key = t if weights is None else (t, su)
-                if key != listing_key:
+                # resolve step, so without weights one listing serves the slot;
+                # with them each user's is its own, and a user asks once a slot.
+                if weights is not None or t != shared_at:
                     if weights is None:
                         scores = [
                             final_score(matrix, ch, now=t, window=cfg.score_window)
                             for ch in range(m_ch)
                         ]
+                        shared_at = t
                     else:
                         scores = final_score_located(
                             matrix, weights[su], now=t, window=cfg.score_window
                         )
                     th = (cfg.th_value if cfg.th_mode == "fixed"
                           else default_threshold(scores))
-                    listing_key = key
             if warmup or method == "random":
                 channel = random_access(candidates, rng_act)
             elif method == "q":
@@ -505,43 +506,29 @@ def _argmax_reward(stats, candidates):
     return best
 
 
-def _train_channel_elms(cfg: SimConfig, pu: np.ndarray, rep_seed: int):
-    """One next-slot predictor per channel, fitted on the warm-up prefix."""
-    models = []
-    for ch in range(pu.shape[0]):
-        prefix = pu[ch, : cfg.warmup_slots]
-        if len(prefix) <= cfg.window + 1:
-            models.append(None)
-            continue
-        data = make_training_set(prefix, cfg.window)
-        models.append(
-            elm_train(*data, cfg.elm_hidden, derive_seed(rep_seed, _TAG_ELM, ch))
-        )
-    return models
-
-
-def _advisory_bits(cfg: SimConfig, pu: np.ndarray, models) -> list:
+def _advisory_bits(cfg: SimConfig, pu: np.ndarray, rep_seed: int) -> list:
     """Advisory bit A per (channel, slot), an M x T list of ints.
 
-    A is the next-slot ELM prediction for the channel, busy when its raw
-    output is at least lam as in the prediction scenario, or the
-    current slot's state (persistence) where the channel has no model or
-    too little history. It depends on neither the policy nor K, so one
-    list serves every run over a repetition's traces. The prediction
-    depends only on the window, so each distinct window is predicted once.
+    A is the next-slot prediction of the channel's ELM, fitted on its
+    warm-up prefix, busy when its raw output is at least lam as in the
+    prediction scenario, or the current slot's state (persistence) where
+    the prefix or the history is too short. It depends on neither the
+    policy nor K, so one list serves every run over a repetition's traces.
+    The prediction depends only on the window, so each distinct window is
+    predicted once.
     """
-    bits, w, size = pu.tolist(), cfg.window, pu.itemsize
-    for c, model in enumerate(models):
-        if model is None:
+    bits, w = pu.tolist(), cfg.window
+    for c in range(pu.shape[0]):
+        prefix = pu[c, : cfg.warmup_slots]
+        if len(prefix) <= w + 1:
             continue
-        row, memo = pu[c].tobytes(), {}
-        for t in range(w - 1, pu.shape[1]):
-            key = row[(t - w + 1) * size: (t + 1) * size]  # the window's bytes
-            if key not in memo:
-                # one row per call: a many-row product rounds some windows differently
-                raw = elm_predict_many(model, pu[c: c + 1, t - w + 1: t + 1])
-                memo[key] = int(raw[0] >= cfg.lam)
-            bits[c][t] = memo[key]
+        seed = derive_seed(rep_seed, _TAG_ELM, c)
+        model = elm_train(*make_training_set(prefix, w), cfg.elm_hidden, seed)
+        windows = np.lib.stride_tricks.sliding_window_view(pu[c], w)
+        rows, inverse, _ = _distinct_rows(windows)
+        # one row per call: a many-row product rounds some windows differently
+        busy = [int(elm_predict_many(model, row[None])[0] >= cfg.lam) for row in rows]
+        bits[c][w - 1:] = [busy[i] for i in inverse.tolist()]
     return bits
 
 
@@ -574,7 +561,7 @@ def _run_access(cfg: SimConfig, collect_events: bool) -> RunSummary:
         )
         a_bits = None  # bit A feeds only the rewards and the event log
         if collect_events or _REWARDED & set(methods):
-            a_bits = _advisory_bits(cfg, pu, _train_channel_elms(cfg, pu, rep_seed))
+            a_bits = _advisory_bits(cfg, pu, rep_seed)
         weights = neighbor_lists = None
         if cfg.scenario == "decision-2":
             seed = derive_seed(rep_seed, _TAG_LOCATIONS)

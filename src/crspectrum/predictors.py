@@ -312,6 +312,8 @@ def eval_prediction(
     act = _whole_numbers(actual)
     if pred.shape != act.shape or pred.ndim != 1 or len(pred) == 0:
         raise ValueError("predicted and actual must be equal-length nonempty vectors")
+    if np.any((pred != 0) & (pred != 1)) or np.any((act != 0) & (act != 1)):
+        raise ValueError("states must be 0 or 1")
     tp = int(np.sum((pred == 1) & (act == 1)))
     tn = int(np.sum((pred == 0) & (act == 0)))
     n_busy = int(np.sum(act == 1))

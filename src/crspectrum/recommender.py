@@ -41,7 +41,6 @@ class ScoreMatrix:
     def __post_init__(self):
         self._times = [[] for _ in range(self.m_ch)]
         self._cum = [[0] for _ in range(self.m_ch)]  # ratings before each record
-        self._last_t = float("-inf")  # time of the latest record
         self._log, self._log_times = [], []  # (su, channel, rating) per record
 
     def append(self, su: int, channel: int, t: int, rating: int) -> None:
@@ -51,9 +50,8 @@ class ScoreMatrix:
             raise ValueError(f"channel {channel} out of range")
         if rating < 0:
             raise ValueError(f"rating must be nonnegative, got {rating}")
-        if t < self._last_t:
+        if self._log_times and t < self._log_times[-1]:
             raise ValueError("records must be appended in nondecreasing time order")
-        self._last_t = t
         self._times[channel].append(t)
         self._cum[channel].append(self._cum[channel][-1] + rating)
         self._log.append((su, channel, rating))

@@ -191,6 +191,22 @@ class TestConfigPrecedence:
         payload = json.loads(open(printed, encoding="utf-8").read())
         assert payload["config"]["reps"] == 1
 
+    @pytest.mark.parametrize("word", ["false", "no", "0", "OFF"])
+    def test_file_comments_blank_lines_and_false_booleans(self, tmp_path, capsys, word):
+        text = (
+            "# a comment-only line\n\n" + FAST_RECO
+            + f"last_channel_idle = {word}  # trailing comment\n   \n"
+            + f"burst_requests = {word}\n"
+        )
+        conf = write_conf(tmp_path, text)
+        code = main(["--config", conf, "--out", str(tmp_path / "out"), "--format", "json"])
+        assert code == 0
+        printed = capsys.readouterr().out.strip()
+        payload = json.loads(open(printed, encoding="utf-8").read())
+        assert payload["config"]["last_channel_idle"] is False
+        assert payload["config"]["burst_requests"] is False
+        assert payload["config"]["n_slots"] == 200
+
     def test_scenario_token_maps_to_internal_name(self, tmp_path, capsys):
         code = main(
             ["--scenario", "decision1", "--seed", "2", "--reps", "1",

@@ -339,6 +339,16 @@ class TestTrainFusion:
         with pytest.raises(ValueError, match=message):
             train_fusion(bits, [0, 1, 0, 1], seed=0, **kw)
 
+    @pytest.mark.parametrize(
+        "actual",
+        [[0.7, 1, 0, 1], [2, 1, 0, 1], [-1, 1, 0, 1], [[0, 1, 0, 1]], [[0], [1], [0], [1]]],
+        ids=["fractional", "two", "negative", "row", "column"],
+    )
+    def test_rejects_realized_states_other_than_a_bit_vector(self, actual):
+        bits = np.array([[0], [1], [0], [1]])
+        with pytest.raises(ValueError):
+            train_fusion(bits, actual, seed=0, epsilon=0.0)
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("name", ["r_p", "r_n"])
     def test_rejects_non_finite_rewards(self, name, value):

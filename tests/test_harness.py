@@ -32,7 +32,8 @@ from crspectrum.harness import (
 )
 from crspectrum.predictors import elm_predict_many, elm_train, make_training_set
 from crspectrum.recommender import default_threshold, score_access
-from crspectrum.seeding import make_rng
+from crspectrum.seeding import derive_seed, make_rng
+from crspectrum.svg import line_chart
 
 
 def small_config(scenario, **overrides):
@@ -598,16 +599,43 @@ class TestEventsOff:
     ):
         # recommendation's cf and random never read bit A; its event log does
         seen = []
-        train = harness._train_channel_elms
+        advise = harness._advisory_bits
 
         def counted(*args):
             seen.append(args)
-            return train(*args)
+            return advise(*args)
 
-        monkeypatch.setattr(harness, "_train_channel_elms", counted)
+        monkeypatch.setattr(harness, "_advisory_bits", counted)
         cfg = replace(default_config(scenario), **EVENT_CASES[scenario])
         run_scenario(cfg, collect_events=events)
         assert len(seen) == calls
+
+
+class TestShortWarmupPrefix:
+    """A warm-up prefix of at most window + 1 slots fits no advisor, so bit A
+    is the channel's state in the slot of the grant."""
+
+    @pytest.mark.parametrize("warmup", [0, 11])
+    def test_bit_a_is_the_trace(self, monkeypatch, warmup):
+        seen = []
+        advise = harness._advisory_bits
+
+        def kept(cfg, pu, rep_seed):
+            seen.append(pu)
+            return advise(cfg, pu, rep_seed)
+
+        monkeypatch.setattr(harness, "_advisory_bits", kept)
+        cfg = replace(
+            default_config("decision-1"), seed=2, n_slots=300, k_max=4, reps=1,
+            warmup_slots=warmup,
+        )
+        assert warmup <= cfg.window + 1
+        summary = run_scenario(cfg, collect_events=True)
+        (pu,) = seen
+        assert summary.events
+        for ev in summary.events:
+            assert ev["A"] == pu[ev["action"], ev["t0"]]
+        assert run_scenario(cfg).rows == summary.rows
 
 
 class TestEventLogsPinned:
@@ -634,7 +662,8 @@ class TestEventLogsPinned:
 
 @st.composite
 def advisory_cases(draw):
-    """A random 0/1 trace matrix of either dtype, a window and models or None."""
+    """A random 0/1 trace matrix of either dtype and a config whose warm-up
+    prefix may be too short to fit the advisors."""
     m_ch = draw(st.integers(1, 4))
     n_slots = draw(st.integers(1, 60))
     w = draw(st.integers(1, 12))
@@ -643,16 +672,30 @@ def advisory_cases(draw):
     pu = (rng.random((m_ch, n_slots)) < draw(st.sampled_from([0.1, 0.5]))).astype(
         draw(st.sampled_from([np.uint8, np.int64]))
     )
-    models = []
-    for c in range(m_ch):
-        if n_slots > w and draw(st.booleans()):
-            models.append(elm_train(*make_training_set(pu[c], w), 6, seed + c))
-        else:
-            models.append(None)
     cfg = replace(
-        default_config("decision-1"), window=w, lam=draw(st.sampled_from([0.3, 0.5]))
+        default_config("decision-1"),
+        window=w,
+        lam=draw(st.sampled_from([0.3, 0.5])),
+        warmup_slots=draw(st.integers(0, n_slots + 2)),
+        elm_hidden=6,
     )
-    return cfg, pu, models
+    return cfg, pu, seed
+
+
+def _reference_advisors(cfg, pu, rep_seed):
+    """The driver's advisors: one ELM per channel on its warm-up prefix,
+    None where the prefix has at most window + 1 slots."""
+    models = []
+    for c in range(pu.shape[0]):
+        prefix = pu[c, : cfg.warmup_slots]
+        if len(prefix) <= cfg.window + 1:
+            models.append(None)
+        else:
+            seed = derive_seed(rep_seed, harness._TAG_ELM, c)
+            models.append(
+                elm_train(*make_training_set(prefix, cfg.window), cfg.elm_hidden, seed)
+            )
+    return models
 
 
 class TestAdvisoryBits:
@@ -667,16 +710,18 @@ class TestAdvisoryBits:
         w, n_slots = 70, 200
         pu = (np.random.default_rng(5).random((2, n_slots)) < 0.5).astype(np.uint8)
         pu[:, 100:164] = pu[:, 30:94]
-        models = [elm_train(*make_training_set(pu[0], w), 6, 5), None]
-        cfg = replace(default_config("decision-1"), window=w)
-        self._check(cfg, pu, models)
+        cfg = replace(
+            default_config("decision-1"), window=w, warmup_slots=n_slots, elm_hidden=6
+        )
+        self._check(cfg, pu, 5)
 
     @staticmethod
-    def _check(cfg, pu, models):
+    def _check(cfg, pu, rep_seed):
         w = cfg.window
+        models = _reference_advisors(cfg, pu, rep_seed)
 
         def rule(c, t):
-            # bit A one (channel, slot) at a time, with no memo
+            # bit A one (channel, slot) at a time, with no memo or grouping
             if models[c] is None or t + 1 < w:
                 return int(pu[c, t])
             raw = elm_predict_many(models[c], pu[c: c + 1, t - w + 1: t + 1])
@@ -685,7 +730,7 @@ class TestAdvisoryBits:
         with mock.patch.object(
             harness, "elm_predict_many", wraps=elm_predict_many
         ) as spy:
-            bits = _advisory_bits(cfg, pu, models)
+            bits = _advisory_bits(cfg, pu, rep_seed)
         m_ch, n_slots = pu.shape
         assert bits == [[rule(c, t) for t in range(n_slots)] for c in range(m_ch)]
         # one prediction per distinct window of each channel with a model
@@ -707,16 +752,18 @@ class TestThresholdBoundary:
     def test_bit_a_reads_busy_at_lam(self):
         w, n_slots = 4, 50
         pu = (np.random.default_rng(8).random((2, n_slots)) < 0.5).astype(np.int64)
-        models = [elm_train(*make_training_set(pu[0], w), 6, 8), None]
-        cfg = replace(default_config("decision-1"), window=w, lam=0.3)
+        cfg = replace(
+            default_config("decision-1"), window=w, lam=0.3, warmup_slots=n_slots
+        )
         with mock.patch.object(harness, "elm_predict_many", self._constant(cfg.lam)):
-            bits = _advisory_bits(cfg, pu, models)
-        assert bits[0][w - 1:] == [1] * (n_slots - w + 1)
-        assert bits[1] == pu[1].tolist()
+            bits = _advisory_bits(cfg, pu, 8)
+        for c in range(2):
+            assert bits[c][: w - 1] == pu[c, : w - 1].tolist()  # persistence
+            assert bits[c][w - 1:] == [1] * (n_slots - w + 1)
         below = np.nextafter(cfg.lam, -np.inf)
         with mock.patch.object(harness, "elm_predict_many", self._constant(below)):
-            bits = _advisory_bits(cfg, pu, models)
-        assert bits[0][w - 1:] == [0] * (n_slots - w + 1)
+            bits = _advisory_bits(cfg, pu, 8)
+        assert bits[0][w - 1:] == bits[1][w - 1:] == [0] * (n_slots - w + 1)
 
     def test_prediction_rows_read_busy_at_lam(self):
         cfg = small_config("prediction", seed=4, lam=0.3)
@@ -771,6 +818,17 @@ class TestOutputs:
         assert "timings" not in payload
         svg_text = (tmp_path / "decision-1_seed13_p_collision_vs_k.svg").read_text()
         assert svg_text.startswith("<svg") and "</svg>" in svg_text
+
+    def test_chart_of_one_x_value_and_a_constant_series(self, tmp_path):
+        svg_text = line_chart("one point", "x", "y", [3], {"a": [0.5], "b": [None]})
+        assert "<polyline" in svg_text and "nan" not in svg_text
+        # a decision run over one K draws one x value per chart
+        summary = run_scenario(small_config("decision-1", k_min=4, k_max=4, reps=1))
+        written = emit_outputs(summary, ["svg"], str(tmp_path))
+        assert len(written) == 2
+        for path in written:
+            text = open(path, encoding="utf-8").read()
+            assert "<circle" in text and "nan" not in text
 
     def test_csv_has_header_plus_row_lines(self, tmp_path):
         summary = run_scenario(small_config("decision-1", seed=13))

@@ -717,6 +717,16 @@ class TestEvalPrediction:
         m = eval_prediction([1, 0], [1, 1], raw=[0.9, 0.4])
         assert list(m) == ["p_d", "p_fa", "accuracy", "mse", "tp", "tn", "fp", "fn"]
 
+    @pytest.mark.parametrize(
+        "predicted, actual",
+        [([1, 0], [2, 0]), ([2, 0], [1, 0]), ([1, -1], [1, 0]), ([1, 0], [1, 3])],
+        ids=["actual-2", "predicted-2", "predicted-negative", "actual-3"],
+    )
+    def test_rejects_states_other_than_0_or_1(self, predicted, actual):
+        # a 2 is neither busy nor idle, so the four counts would miss its slot
+        with pytest.raises(ValueError, match="0 or 1"):
+            eval_prediction(predicted, actual)
+
     def test_identity_from_confusion_counts(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
